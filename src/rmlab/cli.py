@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import classify
 from .constructions import build_tree, power_split, shell_thresholds, sparse_function, tree_function
-from .funcrep import ParamSpace, StepFunction
+from .funcrep import FunctionLike, ParamSpace, RadialPower, StepFunction
 from .geometry import Cube, Domain
 from .norms import rm_norm_estimate
 from .verification import PROBES, ProbeResult
@@ -215,26 +215,37 @@ def _cmd_construct(args, parser) -> int:
     return 0
 
 
+def _read_function(text: str) -> tuple[FunctionLike, Cube]:
+    """A StepFunction rooted at its pieces' bounding cube, or (for `"kind":
+    "radial-power"`, as `construct power-split` writes) a RadialPower rooted
+    at its `inner_cube`."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise TypeError("top-level JSON object expected")
+    if doc.get("kind") == "radial-power":
+        inner = doc["inner_cube"]
+        root = Cube(tuple(float(c) for c in inner["lower"]), float(inner["side"]))
+        return RadialPower(float(doc["exponent"]), int(doc["dim"])), root
+    f = StepFunction.from_json_dict(doc)
+    lo = np.min([c.lower for c, _ in f.pieces], axis=0)
+    hi = np.max([c.upper for c, _ in f.pieces], axis=0)
+    return f, Cube(tuple(lo), float(np.max(hi - lo)))
+
+
 def _cmd_norm(args, parser) -> int:
     params = _params_or_exit(args, parser)
     if args.function is None:
         parser.error("missing required flag --function")
     try:
-        f = StepFunction.from_json(Path(args.function).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        f, root = _read_function(Path(args.function).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         parser.error(f"function: {exc}")
-    lows = [c.lower for c, _ in f.pieces]
-    highs = [c.upper for c, _ in f.pieces]
     n = f.dim
     if args.root is not None:
         coords = [float(v) for v in args.root.split(",")]
         if args.side is None:
             parser.error("--root needs --side")
         root = Cube(tuple(coords), args.side)
-    else:
-        lo = tuple(min(l[j] for l in lows) for j in range(n))
-        hi = tuple(max(h[j] for h in highs) for j in range(n))
-        root = Cube(lo, max(b - a for a, b in zip(lo, hi)))
     depth = args.depth if args.depth is not None else 6
     offsets = None
     if args.offsets is not None:
@@ -305,7 +316,8 @@ def _cmd_verify(args, parser) -> int:
     verdicts = []
     for res in results:
         doc = res.as_dict()
-        doc["config"] = {**_resolved_config(args), "probe": res.name}
+        # the output directory is left out so verdict bytes do not depend on it
+        doc["config"] = {**_resolved_config(args, skip=("func", "config", "output")), "probe": res.name}
         verdicts.append(doc)
         if args.output is not None:
             outdir = Path(args.output)
@@ -352,24 +364,19 @@ def _build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--depth", type=int, default=None)
     construct.add_argument("--K", type=int, default=None, help="shell count")
     construct.add_argument("--grid", type=int, default=None, help="grid base for power-split")
-    construct.add_argument("--seed", type=int, default=None)
     construct.add_argument("--config", default=None)
     construct.add_argument("-o", "--output", default=None)
     construct.add_argument("--meta", default=None, help="construction metadata JSON path")
     construct.set_defaults(func=_cmd_construct)
 
-    norm = subs.add_parser("norm", help="partition-norm estimate for a step function")
+    norm = subs.add_parser("norm", help="partition-norm estimate for a step function or radial power")
     _add_param_flags(norm)
-    norm.add_argument("--function", default=None, help="StepFunction JSON path")
+    norm.add_argument("--function", default=None, help="StepFunction or radial-power JSON path")
     norm.add_argument("--domain", choices=("rn", "cube"), default=None)
-    norm.add_argument("--n", type=int, default=None)
     norm.add_argument("--depth", type=int, default=None)
     norm.add_argument("--offsets", default=None, help="comma-separated grid shifts in [0,1)")
     norm.add_argument("--root", default=None, help="comma-separated lower corner of the search root")
     norm.add_argument("--side", type=float, default=None, help="side of the search root")
-    norm.add_argument("--grid", type=int, default=None)
-    norm.add_argument("--K", type=int, default=None)
-    norm.add_argument("--seed", type=int, default=None)
     norm.add_argument("--config", default=None)
     norm.add_argument("-o", "--output", default=None)
     norm.add_argument("--certificate-csv", default=None)
@@ -378,15 +385,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cls = subs.add_parser("classify", help="space classification for one parameter point")
     _add_param_flags(cls)
     cls.add_argument("--domain", choices=("rn", "cube"), default=None)
-    cls.add_argument("--seed", type=int, default=None)
     cls.add_argument("--config", default=None)
     cls.add_argument("-o", "--output", default=None)
     cls.set_defaults(func=_cmd_classify)
 
     verify = subs.add_parser("verify", help="run named verification probes")
     verify.add_argument("probes", nargs="*", metavar="probe")
-    _add_param_flags(verify)
-    verify.add_argument("--n", type=int, default=None)
     verify.add_argument("--depth", type=int, default=None)
     verify.add_argument("--grid", type=int, default=None)
     verify.add_argument("--K", type=int, default=None)
@@ -396,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     sweep = subs.add_parser("sweep", help="classification sweep as CSV")
-    sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--config", default=None)
     sweep.add_argument("-o", "--output", default=None, help="CSV path")
     sweep.add_argument("--json", default=None, help="JSON verdict path")

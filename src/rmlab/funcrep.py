@@ -26,6 +26,7 @@ __all__ = [
     "ParamSpace",
     "evaluate",
     "lq_norm_on_cube",
+    "grid_cell_values",
     "lebesgue_norm",
     "distribution_measure",
     "weak_norm",
@@ -205,28 +206,18 @@ def evaluate(f: FunctionLike, x: Sequence[float]) -> float:
     raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
-def _step_power_mass_on_cube(f: StepFunction, cube: Cube, q: float) -> float:
-    """Exact integral of |f|**q over the cube (q finite).
+def _overlap_widths(lo_a, side_a, lo_b, side_b) -> np.ndarray:
+    """Widths of [lo_a, lo_a+side_a] meet [lo_b, lo_b+side_b], elementwise, floored at 0.
 
-    Per-axis overlaps keep each side length as an explicit term so that
-    pieces far smaller than the ulp of their position are not absorbed.
+    Each side stays an explicit term (as in geometry's overlap), so pieces
+    far smaller than the ulp of their position are not absorbed.
     """
-    if not f.pieces:
-        return 0.0
-    lows, sides, heights = f._arrays
-    lo = np.array(cube.lower, dtype=float)
-    sides_col = sides[:, None]
     w = np.where(
-        lows >= lo[None, :],
-        np.minimum(sides_col, (lo[None, :] - lows) + cube.side),
-        np.minimum(cube.side, (lows - lo[None, :]) + sides_col),
+        lo_a >= lo_b,
+        np.minimum(side_a, (lo_b - lo_a) + side_b),
+        np.minimum(side_b, (lo_a - lo_b) + side_a),
     )
-    np.maximum(w, 0.0, out=w)
-    vols = np.prod(w, axis=1)
-    mask = (vols > 0.0) & (heights > 0.0)
-    if not np.any(mask):
-        return 0.0
-    return float(np.sum(heights[mask] ** q * vols[mask]))
+    return np.maximum(w, 0.0)
 
 
 def lq_norm_on_cube(f: FunctionLike, cube: Cube, q: float) -> float:
@@ -234,17 +225,19 @@ def lq_norm_on_cube(f: FunctionLike, cube: Cube, q: float) -> float:
     if q < 1.0:
         raise ValueError(f"q must be >= 1 (or inf), got {q}")
     if isinstance(f, StepFunction):
-        if f.pieces and f.dim != cube.dim:
+        if not f.pieces:
+            return 0.0
+        if f.dim != cube.dim:
             raise DimensionMismatchError("cube dim != function dim")
+        lows, sides, heights = f._arrays
+        w = _overlap_widths(lows, sides[:, None], np.array(cube.lower, dtype=float)[None, :], cube.side)
+        vols = np.prod(w, axis=1)
+        mask = (vols > 0.0) & (heights > 0.0)
+        if not np.any(mask):
+            return 0.0
         if math.isinf(q):
-            if not f.pieces:
-                return 0.0
-            best = 0.0
-            for piece, h in f.pieces:
-                if h > best and overlap_volume(piece, cube) > 0.0:
-                    best = h
-            return best
-        return _step_power_mass_on_cube(f, cube, q) ** (1.0 / q)
+            return float(np.max(heights[mask]))
+        return float(np.sum(heights[mask] ** q * vols[mask])) ** (1.0 / q)
     if isinstance(f, RadialPower):
         if f.dim != cube.dim:
             raise DimensionMismatchError("cube dim != function dim")
@@ -253,6 +246,63 @@ def lq_norm_on_cube(f: FunctionLike, cube: Cube, q: float) -> float:
         mass = power_integral_on_box(q * f.exponent, cube.lower, cube.side)
         return mass ** (1.0 / q)
     raise TypeError(f"cannot integrate {type(f).__name__}")
+
+
+def grid_cell_values(
+    f: FunctionLike, origin: Sequence[float], width: float, cells: int, q: float
+) -> np.ndarray:
+    """Integral of |f|**q (sup of |f| for q = inf) over each cube of a uniform grid.
+
+    Cube i (a multi-index, shape (cells,) * n) has lower corner origin +
+    width * i and side width.  Step functions are scattered: per axis, the
+    (piece, cell, overlap width) triples of the cells a piece meets, joined
+    per piece and summed by bincount (max for q = inf), so the work grows
+    with the cells covered, not pieces x cells.  Radial powers integrate
+    each cube.
+    """
+    n = len(origin)
+    shape = (cells,) * n
+    if isinstance(f, RadialPower):
+        if f.dim != n:
+            raise DimensionMismatchError("grid dim != function dim")
+        out = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            cube = Cube(tuple(o + width * i for o, i in zip(origin, idx)), width)
+            v = lq_norm_on_cube(f, cube, q)
+            out[idx] = v if math.isinf(q) else v ** q
+        return out
+    if not isinstance(f, StepFunction):
+        raise TypeError(f"cannot integrate {type(f).__name__}")
+    if not f.pieces:
+        return np.zeros(shape)
+    if f.dim != n:
+        raise DimensionMismatchError("grid dim != function dim")
+    lows, sides, heights = f._arrays
+    piece = np.arange(len(sides))
+    flat = np.zeros(len(sides), dtype=np.int64)
+    vol = np.ones(len(sides))
+    for j in range(n):
+        # every cell within one index of the float estimate of the piece's
+        # first and last cell; the exact widths below drop the misses
+        lo = np.clip((lows[:, j] - origin[j]) / width, -1.0, cells)
+        hi = np.clip((lows[:, j] + sides - origin[j]) / width, -1.0, cells)
+        first = np.clip(np.floor(lo).astype(np.int64) - 1, 0, cells - 1)
+        last = np.clip(np.floor(hi).astype(np.int64) + 1, 0, cells - 1)
+        reps = (last - first + 1)[piece]
+        run = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        piece = np.repeat(piece, reps)
+        cell = first[piece] + run
+        w = _overlap_widths(lows[piece, j], sides[piece], origin[j] + width * cell, width)
+        flat = np.repeat(flat, reps) * cells + cell
+        vol = np.repeat(vol, reps) * w
+        hit = vol > 0.0
+        piece, flat, vol = piece[hit], flat[hit], vol[hit]
+    if math.isinf(q):
+        out = np.zeros(cells ** n)
+        np.maximum.at(out, flat, heights[piece])
+    else:
+        out = np.bincount(flat, weights=heights[piece] ** q * vol, minlength=cells ** n)
+    return out.reshape(shape)
 
 
 def _radial_sup_on_cube(f: RadialPower, cube: Cube) -> float:

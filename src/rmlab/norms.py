@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimate import LOWER_BOUND, NormEstimate
-from .funcrep import FunctionLike, ParamSpace, StepFunction, lq_norm_on_cube
+from .funcrep import FunctionLike, ParamSpace, StepFunction, grid_cell_values, lq_norm_on_cube
 from .geometry import Cube, CubeFamily, Domain, dyadic_children, interiors_pairwise_disjoint
 
 __all__ = [
@@ -32,12 +32,13 @@ __all__ = [
     "riesz_norm",
     "morrey_norm_estimate",
     "DEFAULT_OFFSETS",
-    "MAX_DP_DEPTH",
+    "MAX_DP_CELLS",
     "MAX_BRUTEFORCE_CELLS",
 ]
 
 DEFAULT_OFFSETS: tuple[float, ...] = (0.0, 1.0 / 3.0, 2.0 / 3.0)
-MAX_DP_DEPTH = {1: 24, 2: 12, 3: 8}
+# finest-level cells per grid the DP may allocate: depth * dim <= 24
+MAX_DP_CELLS = 1 << 24
 MAX_BRUTEFORCE_CELLS = 14
 
 
@@ -75,117 +76,69 @@ def rm_score(
 # dyadic dynamic program
 # ---------------------------------------------------------------------------
 
-class _StepMass1D:
-    """Prefix-integral table for fast interval mass queries on a 1-D step function.
-
-    prefix(x) = integral over (-inf, x] of |f|**q is piecewise linear with
-    breakpoints at the piece endpoints; a query is two searchsorted lookups.
-    """
-
-    def __init__(self, f: StepFunction, q: float):
-        lows, sides, heights = f._arrays
-        lo = lows[:, 0]
-        order = np.argsort(lo)
-        self.lo = lo[order]
-        self.side = sides[order]
-        self.hq = heights[order] ** q
-        seg = self.hq * self.side
-        self.prefix_at_lo = np.concatenate(([0.0], np.cumsum(seg)))[:-1]
-
-    def prefix(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.lo, x, side="right") - 1
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        valid = idx >= 0
-        iv = idx[valid]
-        # clamp(x - lo, 0, side) keeps pieces far smaller than the ulp of
-        # their position from being absorbed by endpoint arithmetic
-        inside = np.minimum(np.maximum(x[valid] - self.lo[iv], 0.0), self.side[iv])
-        out[valid] = self.prefix_at_lo[iv] + self.hq[iv] * inside
-        # pieces are interior-disjoint, so at most one piece covers x and
-        # all earlier pieces are fully counted by the running prefix
-        return out
-
-    def mass(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.prefix(b) - self.prefix(a)
+def _coarsen(a: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """Combine each block of 2**n child cells into its parent cell."""
+    half = a.shape[0] // 2
+    return combine.reduce(a.reshape((half, 2) * a.ndim), axis=tuple(range(1, 2 * a.ndim, 2)))
 
 
-def _cell_scores_1d(mass: np.ndarray, width: float, params: ParamSpace) -> np.ndarray:
-    e = params.score_exponent
-    r = params.p if math.isinf(params.q) else params.p / params.q
-    out = np.zeros_like(mass)
-    pos = mass > 0.0
-    out[pos] = width ** e * mass[pos] ** r
-    return out
-
-
-def _dp_grid_1d(
-    table: _StepMass1D, origin: float, side: float, depth: int, params: ParamSpace
+def _dp_grid(
+    f: FunctionLike, origin: tuple[float, ...], side: float, depth: int, params: ParamSpace
 ) -> tuple[list[float], list[np.ndarray], list[np.ndarray]]:
-    """Bottom-up dyadic DP on one shifted grid.
+    """Bottom-up dyadic DP on one shifted grid over a mass pyramid.
 
-    Returns per-horizon best root values plus, for the full horizon, the
-    per-depth score and keep-whole-cell decision arrays used to read the
-    achieving family back out.
+    Level d has 2**d cells per axis; each coarser level sums its children
+    (max for q = inf).  Returns the best score per horizon 0..depth, the
+    cell scores per level and, for horizon `depth`, the keep-whole arrays.
     """
-    scores: list[np.ndarray] = []
-    for d in range(depth + 1):
-        cells = 1 << d
-        w = side / cells
-        edges = origin + w * np.arange(cells + 1, dtype=float)
-        mass = table.mass(edges[:-1], edges[1:])
-        scores.append(_cell_scores_1d(mass, w, params))
+    n = len(origin)
+    values = grid_cell_values(f, origin, side / (1 << depth), 1 << depth, params.q)
+    combine = np.maximum if math.isinf(params.q) else np.add
+    r = params.p if math.isinf(params.q) else params.p / params.q
+    scores = []
+    for d in range(depth, -1, -1):
+        s = np.zeros_like(values)
+        pos = values > 0.0
+        s[pos] = ((side / (1 << d)) ** n) ** params.score_exponent * values[pos] ** r
+        scores.append(s)
+        if d:
+            values = _coarsen(values, combine)
+    scores.reverse()
 
-    values: list[float] = []
-    keep_full: list[np.ndarray] = []
+    best_by_horizon: list[float] = []
     for horizon in range(depth + 1):
-        best = scores[horizon].copy()
-        keeps = [np.ones(1 << horizon, dtype=bool)]
+        best = scores[horizon]
+        keep = [np.ones(best.shape, dtype=bool)]
         for d in range(horizon - 1, -1, -1):
-            child_sum = best[0::2] + best[1::2]
-            keep = scores[d] >= child_sum
-            best = np.where(keep, scores[d], child_sum)
-            keeps.append(keep)
-        keeps.reverse()
-        values.append(float(best[0]))
-        if horizon == depth:
-            keep_full = keeps
-    return values, scores, keep_full
+            split = _coarsen(best, np.add)
+            keep.append(scores[d] >= split)
+            best = np.where(keep[-1], scores[d], split)
+        best_by_horizon.append(float(best.flat[0]))
+    keep.reverse()
+    return best_by_horizon, scores, keep
 
 
-def _read_family_1d(
-    origin: float, side: float, depth: int, scores: list[np.ndarray], keep: list[np.ndarray]
+def _read_family(
+    origin: tuple[float, ...], side: float, scores: list[np.ndarray], keep: list[np.ndarray]
 ) -> CubeFamily:
-    cells: list[Cube] = []
-    stack = [(0, 0)]  # (depth, index)
+    """The achieving family, read top-down from the keep arrays.
+
+    Cells of zero score are left out.  The order is depth-first with
+    children in dyadic_children order, which for n = 1 is left to right.
+    """
+    n = len(origin)
+    children = list(iter_product((0, 1), repeat=n))[::-1]  # popped in dyadic_children order
+    cells = []
+    stack = [(0, (0,) * n)]
     while stack:
-        d, j = stack.pop()
-        if keep[d][j] or d == depth:
-            if scores[d][j] > 0.0:
+        d, i = stack.pop()
+        if keep[d][i]:
+            if scores[d][i] > 0.0:
                 w = side / (1 << d)
-                cells.append(Cube((origin + j * w,), w))
+                cells.append(Cube(tuple(o + w * k for o, k in zip(origin, i)), w))
         else:
-            stack.append((d + 1, 2 * j))
-            stack.append((d + 1, 2 * j + 1))
+            stack.extend((d + 1, tuple(2 * k + b for k, b in zip(i, bits))) for bits in children)
     return CubeFamily(tuple(cells))
-
-
-def _dp_generic(
-    f: FunctionLike, cube: Cube, depth: int, params: ParamSpace
-) -> tuple[float, list[Cube]]:
-    """Recursive DP for any dimension / function class (small depths)."""
-    norm_q = lq_norm_on_cube(f, cube, params.q)
-    score = cube.volume ** params.score_exponent * norm_q ** params.p if norm_q > 0.0 else 0.0
-    if depth == 0:
-        return score, ([cube] if score > 0.0 else [])
-    child_total = 0.0
-    child_cells: list[Cube] = []
-    for child in dyadic_children(cube):
-        v, cells = _dp_generic(f, child, depth - 1, params)
-        child_total += v
-        child_cells.extend(cells)
-    if score >= child_total:
-        return score, ([cube] if score > 0.0 else [])
-    return child_total, child_cells
 
 
 def rm_norm_dyadic(
@@ -202,52 +155,36 @@ def rm_norm_dyadic(
     cell, either the cell itself or the best split into its dyadic
     children.  The result is the max over grids, reported as the p-th
     root, with the achieving family as certificate and the per-depth
-    running maxima as trace.
+    running maxima as trace.  A grid's finest level may hold at most
+    MAX_DP_CELLS cells, so depth * dim <= 24.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")
-    n = root.dim
-    cap = MAX_DP_DEPTH.get(n)
-    if cap is not None and depth > cap:
-        raise ValueError(f"depth {depth} exceeds the cap {cap} for dimension {n}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    n = root.dim
+    if 1 << (n * depth) > MAX_DP_CELLS:
+        raise ValueError(f"depth {depth} in dimension {n} exceeds the budget of {MAX_DP_CELLS} cells")
     offset_list = tuple(DEFAULT_OFFSETS if offsets is None else offsets)
     if any(not 0.0 <= o < 1.0 for o in offset_list):
         raise ValueError("offsets must lie in [0, 1)")
 
-    fast = isinstance(f, StepFunction) and n == 1 and not math.isinf(params.q) and len(f) > 0
     best_by_depth = [0.0] * (depth + 1)
     best_value = -1.0
     best_family: CubeFamily = CubeFamily(())
+    for vec in iter_product(offset_list, repeat=n):
+        origin = tuple(lo + o * root.side for lo, o in zip(root.lower, vec))
+        values, scores, keep = _dp_grid(f, origin, root.side, depth, params)
+        for d, v in enumerate(values):
+            best_by_depth[d] = max(best_by_depth[d], v)
+        if values[depth] > best_value:
+            best_value = values[depth]
+            best_family = _read_family(origin, root.side, scores, keep)
 
-    if fast:
-        table = _StepMass1D(f, params.q)
-        for o in offset_list:
-            origin = root.lower[0] + o * root.side
-            values, scores, keep = _dp_grid_1d(table, origin, root.side, depth, params)
-            for d, v in enumerate(values):
-                best_by_depth[d] = max(best_by_depth[d], v)
-            if values[depth] > best_value:
-                best_value = values[depth]
-                best_family = _read_family_1d(origin, root.side, depth, scores, keep)
-    else:
-        for vec in iter_product(offset_list, repeat=n):
-            shifted = root.translate(tuple(o * root.side for o in vec))
-            for d in range(depth + 1):
-                v, cells = _dp_generic(f, shifted, d, params)
-                best_by_depth[d] = max(best_by_depth[d], v)
-                if d == depth and v > best_value:
-                    best_value = v
-                    best_family = CubeFamily(tuple(cells))
-
-    running = 0.0
-    trace = []
-    for d, v in enumerate(best_by_depth):
-        running = max(running, v)
-        trace.append((float(d), running ** (1.0 / params.p)))
+    running = np.maximum.accumulate(best_by_depth).tolist()
+    trace = tuple((float(d), v ** (1.0 / params.p)) for d, v in enumerate(running))
     value = max(best_value, 0.0) ** (1.0 / params.p)
-    return NormEstimate(value, LOWER_BOUND, certificate=best_family, trace=tuple(trace))
+    return NormEstimate(value, LOWER_BOUND, certificate=best_family, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,22 @@ class TestConstructCommand:
 
 
 class TestNormCommand:
+    def test_power_split_roundtrips_into_norm(self, tmp_path, capsys):
+        from rmlab import Cube, ParamSpace, RadialPower, rm_norm_dyadic
+
+        fn = tmp_path / "split.json"
+        params = ["--p", "2", "--q", "1", "--alpha", "-0.25"]
+        code, _ = run_cli(["construct", "power-split", "--n", "1", *params, "-o", str(fn)], capsys)
+        assert code == 0
+        code, out = run_cli(["norm", "--function", str(fn), *params, "--depth", "4"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        unit = Cube((0.0,), 1.0)
+        want = rm_norm_dyadic(RadialPower(-0.75, 1), unit, 4, ParamSpace(2.0, 1.0, -0.25))
+        assert doc["kind"] == "lower-bound"
+        assert doc["value"] == pytest.approx(want.value, rel=1e-12)
+        assert len(doc["certificate"]) == len(want.certificate)
+
     def test_cube_domain_and_explicit_root(self, tmp_path, capsys):
         fn = tmp_path / "f.json"
         fn.write_text(
@@ -166,6 +182,21 @@ class TestVerifyCommand:
         sweep = json.loads((tmp_path / "classify-sweep.json").read_text())
         assert sweep["pass"] is True
         assert (tmp_path / "classify-sweep.csv").exists()
+
+    def test_verdicts_do_not_depend_on_output_directory(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        for outdir in (first, second):
+            code, _ = run_cli(["verify", "classify-sweep", "-o", str(outdir)], capsys)
+            assert code == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_unapplied_parameter_flag_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "prop-q", "--p", "3"])
+        assert exc.value.code == 2
 
     def test_unknown_probe_exits_2(self):
         with pytest.raises(SystemExit) as exc:

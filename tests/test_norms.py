@@ -1,12 +1,17 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmlab.estimate import LOWER_BOUND
-from rmlab.funcrep import ParamSpace, StepFunction, lebesgue_norm
-from rmlab.geometry import Cube, Domain
+from rmlab.funcrep import ParamSpace, RadialPower, StepFunction, lebesgue_norm, lq_norm_on_cube
+from rmlab.geometry import Cube, Domain, dyadic_children
 from rmlab.norms import (
+    DEFAULT_OFFSETS,
+    MAX_DP_CELLS,
     morrey_norm_estimate,
     riesz_norm,
     rm_norm_bruteforce_1d,
@@ -14,10 +19,34 @@ from rmlab.norms import (
     rm_norm_estimate,
     rm_score,
 )
-from rmlab.verification import random_dyadic_step, random_intermediate_params
+from rmlab.verification import (
+    random_dyadic_partition,
+    random_dyadic_step,
+    random_intermediate_params,
+    random_step_function,
+)
 
 RIESZ2 = ParamSpace(2.0, 1.0, 0.0)
 UNIT = Cube((0.0,), 1.0)
+
+
+def _dp_generic(f, cube, depth, params):
+    """Recursive keep-or-split DP integrating every cell directly: the test oracle."""
+    norm_q = lq_norm_on_cube(f, cube, params.q)
+    score = cube.volume ** params.score_exponent * norm_q ** params.p if norm_q > 0.0 else 0.0
+    if depth == 0:
+        return score
+    return max(score, sum(_dp_generic(f, child, depth - 1, params) for child in dyadic_children(cube)))
+
+
+def oracle_trace(f, root, depth, params, offsets):
+    """Running best p-th-root score per horizon 0..depth, maximised over the shifted grids."""
+    best = [0.0] * (depth + 1)
+    for vec in product(offsets, repeat=root.dim):
+        shifted = root.translate(tuple(o * root.side for o in vec))
+        for d in range(depth + 1):
+            best[d] = max(best[d], _dp_generic(f, shifted, d, params))
+    return [v ** (1.0 / params.p) for v in np.maximum.accumulate(best)]
 
 
 def two_step():
@@ -113,29 +142,68 @@ class TestDyadicOptimizer:
         values = [v for _, v in est.trace]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
-    def test_generic_path_matches_fast_path(self):
+    def test_matches_recursive_oracle(self):
         rng = np.random.default_rng(37)
         f = random_dyadic_step(rng, UNIT, 2)
         params = random_intermediate_params(rng)
-        fast = rm_norm_dyadic(f, UNIT, 3, params, offsets=(0.0,))
-        # two-dimensional product function exercises the recursive path
-        f2 = StepFunction(
-            tuple(
-                (Cube((c.lower[0], c.lower[0]), c.side), h)
-                for c, h in f.pieces
-            )
-        )
-        est2 = rm_norm_dyadic(f2, Cube((0.0, 0.0), 1.0), 3, params, offsets=(0.0,))
-        assert est2.value > 0.0
-        rescored = rm_score(f2, est2.certificate, params) ** (1.0 / params.p)
-        assert rescored == pytest.approx(est2.value, rel=1e-10)
-        assert fast.value == pytest.approx(
-            rm_norm_dyadic(f, UNIT, 3, params, offsets=(0.0,)).value, rel=0
-        )
+        # two-dimensional product function on the diagonal blocks
+        f2 = StepFunction(tuple((Cube((c.lower[0], c.lower[0]), c.side), h) for c, h in f.pieces))
+        square = Cube((0.0, 0.0), 1.0)
+        jittered = random_step_function(rng, 1)
+        line = Cube((-4.0,), 8.0)
+        sup = ParamSpace(2.0, math.inf, -0.3)
+        radial = ParamSpace(2.0, 1.0, -0.1)
+        cases = [
+            (f, UNIT, 3, params, (0.0,), 1e-12),
+            (jittered, line, 3, params, None, 1e-12),
+            (f2, square, 3, params, (0.0, 0.5), 1e-12),
+            (f2, square, 2, sup, None, 1e-12),
+            (jittered, line, 3, sup, (0.0, 0.25), 1e-12),
+            (RadialPower.from_params(radial, 1), UNIT, 3, radial, None, 1e-8),
+            (RadialPower.from_params(radial, 2), square, 2, radial, (0.0, 0.5), 1e-8),
+        ]
+        for g, root, depth, prm, offsets, rel in cases:
+            est = rm_norm_dyadic(g, root, depth, prm, offsets=offsets)
+            want = oracle_trace(g, root, depth, prm, DEFAULT_OFFSETS if offsets is None else offsets)
+            assert [d for d, _ in est.trace] == [float(d) for d in range(depth + 1)]
+            assert [v for _, v in est.trace] == pytest.approx(want, rel=rel)
+            assert est.value > 0.0
+            if not math.isinf(prm.q):
+                rescored = rm_score(g, est.certificate, prm) ** (1.0 / prm.p)
+                assert rescored == pytest.approx(est.value, rel=rel)
+
+    def test_overlapping_pieces_value_rescores(self):
+        # overlapping supports add up; the bound must still re-score from its certificate
+        doubled = StepFunction(((UNIT, 1.0), (UNIT, 1.0)))
+        est = rm_norm_dyadic(doubled, UNIT, 2, RIESZ2, offsets=(0.0,))
+        assert est.value ** 2 == pytest.approx(4.0, rel=1e-12)
+        assert est.value ** 2 == pytest.approx(rm_score(doubled, est.certificate, RIESZ2), rel=1e-12)
+
+    def test_certificate_order_is_depth_first(self):
+        f = random_dyadic_step(np.random.default_rng(67), UNIT, 3)
+        est = rm_norm_dyadic(f, UNIT, 3, RIESZ2, offsets=(0.0,))
+        lows = [c.lower[0] for c in est.certificate]
+        assert len(lows) > 2
+        assert lows == sorted(lows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((1, 2)), depth=st.integers(0, 3))
+    def test_value_dominates_every_aligned_partition(self, seed, dim, depth):
+        rng = np.random.default_rng(seed)
+        root = Cube((-4.0,) * dim, 8.0)
+        f = random_step_function(rng, dim)
+        params = random_intermediate_params(rng)
+        family = random_dyadic_partition(rng, root, max_depth=depth)
+        est = rm_norm_dyadic(f, root, depth, params, offsets=(0.0,))
+        assert est.value ** params.p >= rm_score(f, family, params) * (1.0 - 1e-12)
 
     def test_depth_cap(self):
+        assert MAX_DP_CELLS == 1 << 24
         with pytest.raises(ValueError):
             rm_norm_dyadic(two_step(), UNIT, 25, RIESZ2)
+        ones4 = StepFunction(((Cube((0.0,) * 4, 1.0), 1.0),))
+        with pytest.raises(ValueError):
+            rm_norm_dyadic(ones4, Cube((0.0,) * 4, 1.0), 7, RIESZ2)
 
 
 class TestBruteForce:
