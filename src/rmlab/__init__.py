@@ -34,7 +34,6 @@ from .geometry import (
     interiors_pairwise_disjoint,
     ring_subdivision,
     shell_partition_1d,
-    volume,
 )
 from .constructions import (
     PowerSplit,

@@ -12,9 +12,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +22,7 @@ from .constructions import build_tree, power_split, shell_thresholds, sparse_fun
 from .funcrep import FunctionLike, ParamSpace, RadialPower, StepFunction
 from .geometry import Cube, Domain
 from .norms import rm_norm_estimate
-from .verification import PROBES, ProbeResult
+from .verification import PROBES
 
 __all__ = ["main"]
 
@@ -107,13 +105,13 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return args
 
 
-def _resolved_config(args: argparse.Namespace, skip=("func", "config")) -> dict:
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        out[key] = value
-    return out
+# Output paths are left out of recorded configs, so document bytes do not
+# depend on where they are written.
+_UNRECORDED = ("func", "config", "output", "meta", "json", "certificate_csv")
+
+
+def _resolved_config(args: argparse.Namespace) -> dict:
+    return {key: value for key, value in sorted(vars(args).items()) if key not in _UNRECORDED}
 
 
 def _params_or_exit(args, parser, require=("p", "q", "alpha")) -> ParamSpace:
@@ -301,23 +299,13 @@ def _cmd_verify(args, parser) -> int:
     for name in names:
         if name not in PROBES:
             parser.error(f"unknown probe {name!r}; available: {', '.join(sorted(PROBES))}")
-    threads = int(os.environ.get("RMLAB_THREADS", "0")) or None
-
-    def run(name: str) -> ProbeResult:
-        return PROBES[name](**_probe_kwargs(name, args))
-
-    if threads == 1 or len(names) == 1:
-        results = [run(name) for name in names]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, names))
+    results = [PROBES[name](**_probe_kwargs(name, args)) for name in names]
     results.sort(key=lambda r: r.name)
 
     verdicts = []
     for res in results:
         doc = res.as_dict()
-        # the output directory is left out so verdict bytes do not depend on it
-        doc["config"] = {**_resolved_config(args, skip=("func", "config", "output")), "probe": res.name}
+        doc["config"] = {**_resolved_config(args), "probe": res.name}
         verdicts.append(doc)
         if args.output is not None:
             outdir = Path(args.output)

@@ -26,7 +26,6 @@ from .funcrep import (
     RadialPower,
     StepFunction,
     positive_orthant_sphere_measure,
-    shell_integral_radial,
 )
 from .geometry import Cube, CubeFamily, ring_subdivision
 from .series import power_series_sum, power_series_tail
@@ -35,7 +34,6 @@ __all__ = [
     "sparse_family",
     "sparse_function",
     "tree_side_length",
-    "tree_raw_distance",
     "modification_cutoff",
     "descendant_reach",
     "descendant_radius",
@@ -80,13 +78,12 @@ def sparse_function(count: int, dim: int = 1) -> StepFunction:
 # ---------------------------------------------------------------------------
 
 def tree_side_length(i: int, dim: int) -> float:
-    """Side length of a level-i tree cube: 2**(-(i+1)**2 / (2n))."""
+    """Side length of a level-i tree cube: 2**(-(i+1)**2 / (2n)).
+
+    It is also the raw (unwidened) per-axis gap between a level-i cube and
+    each of its children.
+    """
     return 2.0 ** (-((i + 1) ** 2) / (2.0 * dim))
-
-
-def tree_raw_distance(i: int, dim: int) -> float:
-    """Unmodified per-axis parent-child gap, equal to the side length."""
-    return tree_side_length(i, dim)
 
 
 def modification_cutoff(dim: int) -> int:
@@ -125,7 +122,7 @@ def descendant_reach(
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    dist = distance if distance is not None else (lambda k: tree_raw_distance(k, dim))
+    dist = distance if distance is not None else (lambda k: tree_side_length(k, dim))
     total = 0.0
     k = level
     while True:
@@ -133,9 +130,9 @@ def descendant_reach(
         # raw-sequence tail bound: both summand streams beyond k decay at
         # least geometrically with ratio 2**(-(2k+5)/(2n)); only valid once
         # the summation has left the (initial-segment) modified range
-        beyond_modified = dist(k + 1) == tree_raw_distance(k + 1, dim)
+        beyond_modified = dist(k + 1) == tree_side_length(k + 1, dim)
         r = 2.0 ** (-(2 * k + 5) / (2.0 * dim))
-        tail = (tree_raw_distance(k + 1, dim) + tree_side_length(k + 2, dim)) / (1.0 - r)
+        tail = (tree_side_length(k + 1, dim) + tree_side_length(k + 2, dim)) / (1.0 - r)
         if beyond_modified and tail <= rel_tol * total and k >= level + 4:
             return total
         k += 1
@@ -175,7 +172,7 @@ class TreeSpacing:
         def dist(k: int) -> float:
             if k in widened:
                 return widened[k]
-            return tree_raw_distance(k, dim)
+            return tree_side_length(k, dim)
 
         for i in range(n0, -1, -1):
             widened[i] = 2.0 * descendant_reach(i + 1, dim, dist)
@@ -188,7 +185,7 @@ class TreeSpacing:
         """Per-axis gap between a level-i cube and each of its children."""
         if i <= self.cutoff:
             return self.widened[i]
-        return tree_raw_distance(i, self.dim)
+        return tree_side_length(i, self.dim)
 
     def reach(self, i: int) -> float:
         return descendant_reach(i, self.dim, self.distance)
@@ -237,7 +234,7 @@ class TreeConstruction:
         return tuple(self.spacing.distance(i) for i in range(self.depth + 1))
 
     def raw_distances(self) -> tuple[float, ...]:
-        return tuple(tree_raw_distance(i, self.dim) for i in range(self.depth + 1))
+        return tuple(tree_side_length(i, self.dim) for i in range(self.depth + 1))
 
     def radii(self) -> tuple[float, ...]:
         return tuple(self.spacing.radius(i) for i in range(self.depth + 1))
@@ -327,11 +324,6 @@ def tree_descendant_mass_log2(params: ParamSpace, level: int, q: float, rel_tol:
             raise RuntimeError("descendant mass summation did not converge")
 
 
-def tree_descendant_mass(tree: TreeConstruction, level: int, q: float, rel_tol: float = 1e-16) -> float:
-    """Integral of |f|**q over the full (untruncated) descendant set of one level cube."""
-    return 2.0 ** tree_descendant_mass_log2(tree.params, level, q, rel_tol)
-
-
 # ---------------------------------------------------------------------------
 # radial power split on the positive orthant
 # ---------------------------------------------------------------------------
@@ -386,17 +378,6 @@ class PowerSplit:
 
     def ring_family(self, i: int) -> CubeFamily:
         return ring_subdivision(i, self.grid_base, self.dim)
-
-    def inner_function(self) -> tuple[RadialPower, Cube]:
-        """The radial power restricted to the unit corner block."""
-        return self.function, self.inner_cube
-
-    def annulus_integral(self, i: int) -> float:
-        """Exact |f|**q integral over the inscribed orthant annulus of ring i."""
-        N = self.grid_base
-        return shell_integral_radial(
-            self.lq_exponent, math.sqrt(self.dim) * float(N) ** i, float(N) ** (i + 1), self.dim
-        )
 
 
 def power_split(grid_base: int, dim: int, params: ParamSpace) -> PowerSplit:
@@ -461,19 +442,13 @@ class ShellConstruction:
         return self.set_measure / 2.0
 
 
-def shell_thresholds(
-    p: float,
-    alpha: float,
-    count: int,
-    dim: int = 1,
-    tol: float = 1e-12,
-) -> ShellConstruction:
-    """Solve g(t_k) = (|E|/2) * tail(k+1)/Z for E = [-1, 1] by bisection.
+def shell_thresholds(p: float, alpha: float, count: int, dim: int = 1) -> ShellConstruction:
+    """Thresholds t_k = tail(k+1) / (2Z) for E = [-1, 1].
 
-    g(t) = |[-t, t] intersect E| = 2t is continuous and increasing, so each
-    threshold is the unique root of 2t = tail(k+1)/Z (|E| = 2 cancels the
-    half).  Requires p*alpha in (0, 1) so that the series normalizer
-    converges.
+    g(t) = |[-t, t] intersect E| = 2t must equal (|E|/2) * tail(k+1)/Z,
+    where tail(k+1) sums l**e over l >= k+1; |E| = 2 cancels the half, so
+    t_k is the closed-form root of a linear equation.  Requires p*alpha in
+    (0, 1) so that the series normalizer converges.
     """
     if dim != 1:
         raise ValueError("shell thresholds are implemented for dimension 1 only")
@@ -483,16 +458,5 @@ def shell_thresholds(
         raise ValueError("count must be >= 1")
     e = 1.0 / (p * alpha - 1.0)
     z = power_series_sum(e)
-    thresholds = []
-    for k in range(1, count + 1):
-        tail = power_series_tail(e, k, rel_scale=z)
-        target = tail / z  # g(t_k) = 2 t_k must equal |E|/2 * tail/Z = tail/Z
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if 2.0 * mid >= target:
-                hi = mid
-            else:
-                lo = mid
-        thresholds.append(hi)
-    return ShellConstruction(p=p, alpha=alpha, thresholds=tuple(thresholds), normalizer=z)
+    thresholds = tuple(power_series_tail(e, k, rel_scale=z) / (2.0 * z) for k in range(1, count + 1))
+    return ShellConstruction(p=p, alpha=alpha, thresholds=thresholds, normalizer=z)

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .estimate import EXACT, NormEstimate
-from .geometry import Cube, Domain, DimensionMismatchError, overlap_volume
+from .geometry import Cube, Domain, DimensionMismatchError, interiors_pairwise_disjoint, overlap_volume
 from .quadrature import power_integral_on_box
 
 __all__ = [
@@ -100,7 +100,8 @@ class StepFunction:
     """Finite sum of nonnegative heights times closed-cube indicators.
 
     Supports must have pairwise disjoint interiors; constructors in this
-    package guarantee it and `validate_disjoint_supports` checks it.
+    package guarantee it, and `validate_disjoint_supports` checks it for
+    functions read with `from_json_dict`.
     """
 
     pieces: tuple[tuple[Cube, float], ...]
@@ -133,8 +134,6 @@ class StepFunction:
         return lows, sides, heights
 
     def validate_disjoint_supports(self) -> None:
-        from .geometry import interiors_pairwise_disjoint
-
         if not interiors_pairwise_disjoint([c for c, _ in self.pieces]):
             raise ValueError("step function supports have overlapping interiors")
 
@@ -159,7 +158,9 @@ class StepFunction:
             if cube.dim != dim:
                 raise DimensionMismatchError("piece dim differs from declared dim")
             pieces.append((cube, float(item["height"])))
-        return cls(tuple(pieces))
+        f = cls(tuple(pieces))
+        f.validate_disjoint_supports()
+        return f
 
     @classmethod
     def from_json(cls, text: str) -> "StepFunction":

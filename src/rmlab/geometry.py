@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -20,7 +19,6 @@ __all__ = [
     "CubeFamily",
     "Domain",
     "DimensionMismatchError",
-    "volume",
     "interiors_disjoint",
     "box_distance",
     "dyadic_children",
@@ -127,15 +125,6 @@ class CubeFamily:
     def __getitem__(self, i: int) -> Cube:
         return self.cubes[i]
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lows = np.array([c.lower for c in self.cubes], dtype=float)
-        highs = lows + np.array([c.side for c in self.cubes], dtype=float)[:, None]
-        return lows, highs
-
-    def total_volume(self) -> float:
-        return float(sum(c.volume for c in self.cubes))
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -170,14 +159,12 @@ class Domain:
         return self.cube.contains_cube(c)
 
 
-def volume(c: Cube) -> float:
-    """Lebesgue measure side**dim."""
-    return c.volume
-
-
 # Coordinates are doubles, so cells meant to share a face can land a few
 # ulps apart; per-axis overlaps below this relative slack count as touching.
 _FACE_SLACK = 8.0 * np.finfo(float).eps
+
+# Candidate pairs tested at once by interiors_pairwise_disjoint; bounds its memory.
+_SWEEP_BATCH = 1 << 16
 
 
 def interiors_disjoint(a: Cube, b: Cube) -> bool:
@@ -276,11 +263,13 @@ def shell_partition_1d(t_outer: float, t_inner: float, parts_per_side: int) -> C
     return CubeFamily(tuple(cells))
 
 
-def interiors_pairwise_disjoint(cubes: Sequence[Cube] | CubeFamily, chunk: int = 512) -> bool:
-    """Exhaustive pairwise open-box disjointness, chunk-vectorized.
+def interiors_pairwise_disjoint(cubes: Sequence[Cube] | CubeFamily) -> bool:
+    """Open-box disjointness of every pair, by sort and sweep on axis 0.
 
-    Handles thousands of cubes without materializing the full m x m
-    overlap matrix at once.
+    Once the cubes are sorted by lower[0], a cube can only overlap the
+    later cubes whose lower[0] lies below its upper[0], so the per-axis
+    slack test of :func:`interiors_disjoint` runs on those candidate
+    pairs alone, at most `_SWEEP_BATCH` pairs at a time.
     """
     seq = tuple(cubes)
     m = len(seq)
@@ -291,17 +280,20 @@ def interiors_pairwise_disjoint(cubes: Sequence[Cube] | CubeFamily, chunk: int =
         raise DimensionMismatchError("family mixes cube dimensions")
     lows = np.array([c.lower for c in seq], dtype=float)
     highs = lows + np.array([c.side for c in seq], dtype=float)[:, None]
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        lo_blk = lows[start:stop, None, :]
-        hi_blk = highs[start:stop, None, :]
-        over_lo = np.maximum(lo_blk, lows[None, :, :])
-        over_hi = np.minimum(hi_blk, highs[None, :, :])
+    order = np.argsort(lows[:, 0], kind="stable")
+    lows, highs = lows[order], highs[order]
+    # candidates of sorted cube i are i+1 .. ends[i]-1, numbered from firsts[i]
+    ends = np.searchsorted(lows[:, 0], highs[:, 0], side="left")
+    counts = np.maximum(ends - np.arange(m) - 1, 0)
+    firsts = np.cumsum(counts) - counts
+    total = int(firsts[-1] + counts[-1])
+    for start in range(0, total, _SWEEP_BATCH):
+        k = np.arange(start, min(start + _SWEEP_BATCH, total))
+        i = np.searchsorted(firsts, k, side="right") - 1
+        j = i + 1 + (k - firsts[i])
+        over_lo = np.maximum(lows[i], lows[j])
+        over_hi = np.minimum(highs[i], highs[j])
         slack = _FACE_SLACK * np.maximum(np.abs(over_lo), np.abs(over_hi))
-        inter = np.all(over_hi - over_lo > slack, axis=-1)
-        # ignore self-pairs and count each unordered pair once
-        rows = np.arange(start, stop)[:, None]
-        cols = np.arange(m)[None, :]
-        if np.any(inter & (cols > rows)):
+        if np.any(np.all(over_hi - over_lo > slack, axis=-1)):
             return False
     return True

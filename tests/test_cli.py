@@ -140,6 +140,14 @@ class TestNormCommand:
         doc = json.loads(out)
         assert abs(doc["value"] - 2.5 ** 0.5) < 1e-12
 
+    def test_overlapping_pieces_exit_2(self, tmp_path):
+        fn = tmp_path / "f.json"
+        piece = {"lower": [0.0], "side": 1.0, "height": 1.0}
+        fn.write_text(json.dumps({"dim": 1, "pieces": [piece, piece]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "0"])
+        assert exc.value.code == 2
+
     def test_infinite_p_routes_to_single_cube(self, tmp_path, capsys):
         fn = tmp_path / "f.json"
         fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
@@ -184,12 +192,27 @@ class TestVerifyCommand:
         assert (tmp_path / "classify-sweep.csv").exists()
 
     def test_verdicts_do_not_depend_on_output_directory(self, tmp_path, capsys):
+        fn = tmp_path / "sparse.json"
+        run_cli(["construct", "sparse", "--L", "5", "-o", str(fn)], capsys)
+        params = ["--p", "2", "--q", "1", "--alpha", "-0.25"]
+        commands = (
+            lambda d: ["verify", "classify-sweep", "-o", str(d)],
+            lambda d: ["norm", "--function", str(fn), *params, "--depth", "4",
+                       "-o", str(d / "norm.json"), "--certificate-csv", str(d / "cert.csv")],
+            lambda d: ["classify", *params, "-o", str(d / "classify.json")],
+            lambda d: ["construct", "tree", "--depth", "3", *params,
+                       "-o", str(d / "tree.json"), "--meta", str(d / "tree.meta.json")],
+            lambda d: ["sweep", "-o", str(d / "sweep.csv"), "--json", str(d / "sweep.json")],
+        )
         first, second = tmp_path / "a", tmp_path / "b"
         for outdir in (first, second):
-            code, _ = run_cli(["verify", "classify-sweep", "-o", str(outdir)], capsys)
-            assert code == 0
+            outdir.mkdir()
+            for command in commands:
+                code, _ = run_cli(command(outdir), capsys)
+                assert code == 0
         names = sorted(p.name for p in first.iterdir())
         assert names == sorted(p.name for p in second.iterdir())
+        assert {"norm.json", "classify.json", "tree.meta.json", "sweep.json"} <= set(names)
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -214,15 +237,6 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "classify-sweep"], capsys)
         assert code == 1
         assert json.loads(out)["all_pass"] is False
-
-    def test_thread_count_does_not_change_results(self, capsys, monkeypatch):
-        args = ["verify", "classify-sweep", "inequalities", "--seed", "3"]
-        monkeypatch.setenv("RMLAB_THREADS", "1")
-        code1, out1 = run_cli(args, capsys)
-        monkeypatch.setenv("RMLAB_THREADS", "4")
-        code2, out2 = run_cli(args, capsys)
-        assert code1 == code2 == 0
-        assert out1 == out2
 
 
 class TestConfigFile:

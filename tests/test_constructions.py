@@ -13,7 +13,6 @@ from rmlab.constructions import (
     sparse_family,
     sparse_function,
     tree_function,
-    tree_raw_distance,
     tree_side_length,
 )
 from rmlab.funcrep import ParamSpace, lebesgue_norm, lq_norm_on_cube
@@ -23,6 +22,7 @@ from rmlab.geometry import (
     interiors_pairwise_disjoint,
 )
 from rmlab.norms import rm_score
+from rmlab.series import power_series_tail
 
 INTERMEDIATE = ParamSpace(2.0, 1.0, -0.25)
 
@@ -104,17 +104,17 @@ class TestDescendantRadius:
         for dim in (1, 2):
             for level in (0, 3, 10):
                 manual = math.sqrt(dim) * sum(
-                    tree_raw_distance(k, dim) + tree_side_length(k + 1, dim)
+                    tree_side_length(k, dim) + tree_side_length(k + 1, dim)
                     for k in range(level, level + 200)
                 )
                 assert descendant_radius(level, dim) == pytest.approx(manual, rel=1e-13)
 
     def test_truncation_insensitive(self):
         manual_64 = math.sqrt(1) * sum(
-            tree_raw_distance(k, 1) + tree_side_length(k + 1, 1) for k in range(10, 74)
+            tree_side_length(k, 1) + tree_side_length(k + 1, 1) for k in range(10, 74)
         )
         manual_200 = math.sqrt(1) * sum(
-            tree_raw_distance(k, 1) + tree_side_length(k + 1, 1) for k in range(10, 210)
+            tree_side_length(k, 1) + tree_side_length(k + 1, 1) for k in range(10, 210)
         )
         assert manual_64 == pytest.approx(manual_200, rel=1e-14)
 
@@ -124,7 +124,13 @@ class TestDescendantRadius:
             ratio = (2 ** (1 / (2 * dim)) + 1) / (2 ** (1 / (2 * dim)) - 1)
             for i in range(n0 + 1, n0 + 8):
                 reach = descendant_reach(i, dim)
-                assert reach < ratio * tree_raw_distance(i, dim)
+                assert reach < ratio * tree_side_length(i, dim)
+
+    def test_thresholds_in_closed_form(self):
+        sc = shell_thresholds(1.0, 0.25, 200)
+        z = sc.normalizer
+        for k, t in enumerate(sc.thresholds, start=1):
+            assert t == power_series_tail(sc.exponent, k, rel_scale=z) / (2.0 * z)
 
     def test_strictly_decreasing(self):
         vals = [descendant_radius(i, 1) for i in range(3, 12)]
@@ -152,7 +158,7 @@ class TestModifyDistances:
         spacing = modify_distances(dim)
         for i in range(spacing.cutoff + 1, spacing.cutoff + 8):
             per_axis_gap = spacing.gap(i) / math.sqrt(dim)
-            assert per_axis_gap > 0.5 * tree_raw_distance(i, dim)
+            assert per_axis_gap > 0.5 * tree_side_length(i, dim)
 
 
 class TestBuildTree:
@@ -329,6 +335,12 @@ class TestShellThresholds:
         sc = shell_thresholds(1.0, 0.25, 1)
         z = sc.normalizer
         assert sc.thresholds[0] == pytest.approx((z - 1.0) / (2.0 * z), abs=1e-11)
+
+    def test_thresholds_in_closed_form(self):
+        sc = shell_thresholds(1.0, 0.25, 200)
+        z = sc.normalizer
+        for k, t in enumerate(sc.thresholds, start=1):
+            assert t == power_series_tail(sc.exponent, k, rel_scale=z) / (2.0 * z)
 
     def test_strictly_decreasing(self):
         sc = shell_thresholds(1.0, 0.25, 60)

@@ -242,8 +242,9 @@ class TestShellIntegralRadial:
 class TestJsonRoundTrip:
     def test_bit_exact(self):
         awkward = [0.1 + 0.2, 1e-300, 2.0 ** -84, math.pi, 1.0 / 3.0]
+        # the second coordinate keeps the pieces' interiors disjoint
         pieces = tuple(
-            (Cube((v,), abs(v) + 0.5), abs(v)) for v in awkward
+            (Cube((v, 4.0 * i), abs(v) + 0.5), abs(v)) for i, v in enumerate(awkward)
         )
         f = StepFunction(pieces)
         g = StepFunction.from_json(f.to_json())
@@ -252,6 +253,11 @@ class TestJsonRoundTrip:
             assert struct.pack("d", c1.side) == struct.pack("d", c2.side)
             for a, b in zip(c1.lower, c2.lower):
                 assert struct.pack("d", a) == struct.pack("d", b)
+
+    def test_overlapping_pieces_rejected(self):
+        piece = {"lower": [0.0], "side": 1.0, "height": 1.0}
+        with pytest.raises(ValueError, match="overlapping"):
+            StepFunction.from_json_dict({"dim": 1, "pieces": [piece, piece]})
 
     def test_schema(self):
         f = two_step()

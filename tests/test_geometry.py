@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmlab.geometry import (
@@ -17,11 +17,22 @@ from rmlab.geometry import (
     overlap_volume,
     ring_subdivision,
     shell_partition_1d,
-    volume,
 )
 
 coords = st.floats(-10.0, 10.0, allow_nan=False)
 side_lengths = st.floats(0.1, 5.0, allow_nan=False)
+
+
+def grid_cube_strategy(dim):
+    """Cubes on a coarse half-integer grid, often far from the origin, so
+    that families drawn from it share faces, repeat or nest cubes, tie on
+    lower[0], and include sides below the face slack at their position."""
+    return st.builds(
+        lambda lo, s, offset: Cube(tuple(offset + 0.5 * k for k in lo), s),
+        st.lists(st.integers(0, 6), min_size=dim, max_size=dim),
+        st.sampled_from((0.5, 1.0, 1.5, 3.0, 1e-14)),
+        st.sampled_from((0.0, -2.0, 1000.0)),
+    )
 
 
 def cube_strategy(dim):
@@ -34,9 +45,9 @@ def cube_strategy(dim):
 
 class TestCube:
     def test_volume_examples(self):
-        assert volume(Cube((0.0, 0.0), 1.0)) == 1.0
-        assert volume(Cube((0.0,), 0.5)) == 0.5
-        assert volume(Cube((0.0, 0.0, 0.0), 2.0)) == 8.0
+        assert Cube((0.0, 0.0), 1.0).volume == 1.0
+        assert Cube((0.0,), 0.5).volume == 0.5
+        assert Cube((0.0, 0.0, 0.0), 2.0).volume == 8.0
 
     def test_invalid_cubes(self):
         with pytest.raises(ValueError):
@@ -80,11 +91,24 @@ class TestDisjointness:
             )
             assert interiors_pairwise_disjoint(cubes) == expected
 
-    def test_chunking_boundaries(self):
+    def test_touching_row_with_one_overlap(self):
         cubes = [Cube((float(i),), 1.0) for i in range(40)]
-        assert interiors_pairwise_disjoint(cubes, chunk=7)
+        assert interiors_pairwise_disjoint(cubes)
         cubes[13] = Cube((12.5,), 1.0)
-        assert not interiors_pairwise_disjoint(cubes, chunk=7)
+        assert not interiors_pairwise_disjoint(cubes)
+
+    @given(st.integers(1, 3).flatmap(lambda dim: st.lists(grid_cube_strategy(dim), max_size=12)))
+    # a side below the face slack at its position: the pair test judges the
+    # cube disjoint from itself, and the family test must agree
+    @example([Cube((1000.0,), 1e-14)] * 2)
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_every_pair(self, cubes):
+        expected = all(
+            interiors_disjoint(a, b)
+            for i, a in enumerate(cubes)
+            for b in cubes[i + 1 :]
+        )
+        assert interiors_pairwise_disjoint(cubes) == expected
 
 
 class TestBoxDistance:
