@@ -44,7 +44,6 @@ from .constructions import (
     descendant_radius,
     descendant_reach,
     modification_cutoff,
-    modify_distances,
     power_split,
     shell_thresholds,
     sparse_family,

@@ -37,7 +37,6 @@ __all__ = [
     "modification_cutoff",
     "descendant_reach",
     "descendant_radius",
-    "modify_distances",
     "TreeSpacing",
     "TreeConstruction",
     "build_tree",
@@ -197,11 +196,6 @@ class TreeSpacing:
     def gap(self, i: int) -> float:
         """Euclidean closest approach between a level-i cube and its descendants."""
         return math.sqrt(self.dim) * (self.distance(i) - self.reach(i + 1))
-
-
-def modify_distances(dim: int, cutoff: int | None = None) -> TreeSpacing:
-    """Widen the first gaps until every level's descendant gap is positive."""
-    return TreeSpacing.build(dim, cutoff)
 
 
 @dataclass(frozen=True)

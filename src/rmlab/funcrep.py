@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimate import EXACT, NormEstimate
 from .geometry import Cube, Domain, DimensionMismatchError, interiors_pairwise_disjoint, overlap_volume
-from .quadrature import power_integral_on_box
+from .quadrature import power_integrals
 
 __all__ = [
     "StepFunction",
@@ -242,10 +242,8 @@ def lq_norm_on_cube(f: FunctionLike, cube: Cube, q: float) -> float:
     if isinstance(f, RadialPower):
         if f.dim != cube.dim:
             raise DimensionMismatchError("cube dim != function dim")
-        if math.isinf(q):
-            return _radial_sup_on_cube(f, cube)
-        mass = power_integral_on_box(q * f.exponent, cube.lower, cube.side)
-        return mass ** (1.0 / q)
+        v = float(_radial_cell_values(f, np.array([cube.lower], dtype=float), cube.side, q)[0])
+        return v if math.isinf(q) else v ** (1.0 / q)
     raise TypeError(f"cannot integrate {type(f).__name__}")
 
 
@@ -258,20 +256,18 @@ def grid_cell_values(
     width * i and side width.  Step functions are scattered: per axis, the
     (piece, cell, overlap width) triples of the cells a piece meets, joined
     per piece and summed by bincount (max for q = inf), so the work grows
-    with the cells covered, not pieces x cells.  Radial powers integrate
-    each cube.
+    with the cells covered, not pieces x cells.  Radial powers send every
+    cell through one quadrature batch (power_integrals), a cell on the
+    origin corner as its ring of regular boxes; for q = inf the sup is read
+    off each cell's corners.
     """
     n = len(origin)
     shape = (cells,) * n
     if isinstance(f, RadialPower):
         if f.dim != n:
             raise DimensionMismatchError("grid dim != function dim")
-        out = np.empty(shape)
-        for idx in np.ndindex(*shape):
-            cube = Cube(tuple(o + width * i for o, i in zip(origin, idx)), width)
-            v = lq_norm_on_cube(f, cube, q)
-            out[idx] = v if math.isinf(q) else v ** q
-        return out
+        lows = np.asarray(origin, dtype=float) + width * np.indices(shape).reshape(n, -1).T
+        return _radial_cell_values(f, lows, width, q).reshape(shape)
     if not isinstance(f, StepFunction):
         raise TypeError(f"cannot integrate {type(f).__name__}")
     if not f.pieces:
@@ -306,18 +302,21 @@ def grid_cell_values(
     return out.reshape(shape)
 
 
-def _radial_sup_on_cube(f: RadialPower, cube: Cube) -> float:
-    """Essential sup of |x|**s on cube-intersect-orthant, in closed form."""
-    lo = np.maximum(np.array(cube.lower, dtype=float), 0.0)
-    hi = np.array(cube.lower, dtype=float) + cube.side
-    if np.any(hi <= lo):
-        return 0.0
-    if f.exponent >= 0.0:
-        return float(np.linalg.norm(hi) ** f.exponent)
-    r = float(np.linalg.norm(lo))
-    if r == 0.0:
-        return math.inf
-    return r ** f.exponent
+def _radial_cell_values(f: RadialPower, lows: np.ndarray, side: float, q: float) -> np.ndarray:
+    """Integral of |x|**(q*s) (for q = inf, the essential sup of |x|**s) over
+    each cube [lows_i, lows_i + side] intersect the orthant.
+
+    The sup is read off the far corner for s >= 0 and the near corner for
+    s < 0 (infinite at the origin); the integrals are one quadrature batch.
+    """
+    highs = lows + side
+    if not math.isinf(q):
+        return power_integrals(q * f.exponent, lows, highs)
+    near = np.maximum(lows, 0.0)
+    corner = highs if f.exponent >= 0.0 else near
+    with np.errstate(divide="ignore"):
+        sup = np.sqrt(np.sum(corner * corner, axis=1)) ** f.exponent
+    return np.where(np.all(highs > near, axis=1), sup, 0.0)
 
 
 def lebesgue_norm(f: FunctionLike, domain: Domain, theta: float) -> NormEstimate:
@@ -329,18 +328,7 @@ def lebesgue_norm(f: FunctionLike, domain: Domain, theta: float) -> NormEstimate
             return NormEstimate(0.0, EXACT, certificate="empty-function", trace=((0, 0.0),))
         if f.dim != domain.dim:
             raise DimensionMismatchError("domain dim != function dim")
-        if math.isinf(theta):
-            best = 0.0
-            for piece, h in f.pieces:
-                if domain.kind == "whole-space":
-                    vol = piece.volume
-                else:
-                    assert domain.cube is not None
-                    vol = overlap_volume(piece, domain.cube)
-                if vol > 0.0 and h > best:
-                    best = h
-            return NormEstimate(best, EXACT, certificate="piecewise-max", trace=((len(f), best),))
-        total = 0.0
+        live = []
         for piece, h in f.pieces:
             if domain.kind == "whole-space":
                 vol = piece.volume
@@ -348,8 +336,13 @@ def lebesgue_norm(f: FunctionLike, domain: Domain, theta: float) -> NormEstimate
                 assert domain.cube is not None
                 vol = overlap_volume(piece, domain.cube)
             if vol > 0.0 and h > 0.0:
-                total += h ** theta * vol
-        value = total ** (1.0 / theta)
+                live.append((h, vol))
+        hmax = max((h for h, _ in live), default=0.0)
+        if math.isinf(theta):
+            return NormEstimate(hmax, EXACT, certificate="piecewise-max", trace=((len(f), hmax),))
+        # heights are scaled by the largest so that h ** theta cannot overflow
+        total = sum((h / hmax) ** theta * vol for h, vol in live)
+        value = hmax * total ** (1.0 / theta)
         return NormEstimate(value, EXACT, certificate="piecewise-sum", trace=((len(f), value),))
     if isinstance(f, RadialPower):
         if domain.kind != "cube":

@@ -1,24 +1,31 @@
 """Adaptive quadrature of radial power integrands over axis-aligned boxes.
 
-Integrates |x|**t over box-intersect-positive-orthant regions.  Away from
-the origin the integrand is smooth, so tensor Gauss-Legendre with
-bisection refinement converges quickly.  Boxes whose closure touches the
-origin are peeled geometrically toward the corner: each bisection splits
-off 2**n - 1 regular children and recurses into the corner child, whose
-contribution shrinks like h**(t+n).
+Integrates |x|**t over box-intersect-positive-orthant regions, a batch of
+boxes at a time.  In one dimension the antiderivative is exact.  Away from
+the origin the integrand is smooth: every box of a batch is refined in the
+same array pass by tensor Gauss-Legendre with widest-axis bisection, until
+its coarse and fine rules agree within rel_tol times its first fine
+estimate (halved at each split).  A box whose lower corner, clipped to the
+orthant, is the origin is integrated in closed form: scaling by 1/2 maps
+(0, hi] onto (0, hi/2] and multiplies the integral by 2**-(t+n), so the
+corner integral is the integral over the ring of 2**n - 1 regular boxes
+between them divided by 1 - 2**-(t+n).  It is finite iff t + n > 0.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-__all__ = ["power_integral_on_box", "QuadratureBudgetError"]
+__all__ = ["power_integral_on_box", "power_integrals", "QuadratureBudgetError"]
 
 _GL_ORDER_COARSE = 5
 _GL_ORDER_FINE = 8
+# quadrature node coordinates held at once by one evaluation pass
+_PASS_FLOATS = 1 << 20
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -43,39 +50,120 @@ def _gl_nodes(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def _gl_box(t: float, lo: np.ndarray, hi: np.ndarray, order: int) -> float:
-    dim = lo.size
+def _gl_boxes(t: float, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+    """Tensor Gauss-Legendre estimate on each box (rows of lo and hi)."""
+    m, dim = lo.shape
     pts, wts = _gl_nodes(order, dim)
     widths = hi - lo
-    x = lo[None, :] + pts * widths[None, :]
-    r2 = np.sum(x * x, axis=1)
-    vals = r2 ** (0.5 * t)
-    return float(np.prod(widths) * np.dot(wts, vals))
+    out = np.empty(m)
+    step = max(1, _PASS_FLOATS // pts.size)
+    for i in range(0, m, step):
+        x = lo[i:i + step, None, :] + pts * widths[i:i + step, None, :]
+        vals = np.sum(x * x, axis=2) ** (0.5 * t)
+        out[i:i + step] = np.prod(widths[i:i + step], axis=1) * np.sum(vals * wts, axis=1)
+    return out
 
 
-def _adaptive(t: float, lo: np.ndarray, hi: np.ndarray, tol_abs: float, budget: list[int]) -> float:
-    """Refine by bisecting the widest axis until coarse/fine estimates agree."""
-    stack = [(lo, hi, tol_abs)]
-    total = 0.0
-    while stack:
-        lo_c, hi_c, tol_c = stack.pop()
-        if budget[0] <= 0:
-            raise QuadratureBudgetError("quadrature budget exceeded", total, tol_abs)
-        budget[0] -= 1
-        coarse = _gl_box(t, lo_c, hi_c, _GL_ORDER_COARSE)
-        fine = _gl_box(t, lo_c, hi_c, _GL_ORDER_FINE)
-        if abs(fine - coarse) <= tol_c:
-            total += fine
-            continue
-        axis = int(np.argmax(hi_c - lo_c))
-        mid = 0.5 * (lo_c[axis] + hi_c[axis])
-        lo_r = lo_c.copy()
-        lo_r[axis] = mid
-        hi_l = hi_c.copy()
-        hi_l[axis] = mid
-        stack.append((lo_c, hi_l, 0.5 * tol_c))
-        stack.append((lo_r, hi_c, 0.5 * tol_c))
-    return total
+def _adaptive(
+    t: float, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, scale: np.ndarray,
+    rel_tol: float, budget: int,
+) -> np.ndarray:
+    """scale[k] times the integral over the boxes owned by k, for every owner k.
+
+    All boxes are refined together: a box is accepted when its coarse and
+    fine rules agree within its tolerance, and otherwise bisected along its
+    widest axis.  An owner whose boxes would take more than `budget`
+    evaluations raises QuadratureBudgetError with its partial value and
+    the error estimate of its unresolved boxes.
+    """
+    k = scale.size
+    total = np.zeros(k)
+    used = np.zeros(k, dtype=np.int64)
+    pending = np.full(k, math.inf)
+    tol = None
+    while owner.size:
+        used += np.bincount(owner, minlength=k)
+        over = np.flatnonzero(used > budget)
+        if over.size:
+            j = over[0]
+            raise QuadratureBudgetError(
+                "quadrature budget exceeded", float(scale[j] * total[j]), float(scale[j] * pending[j])
+            )
+        coarse = _gl_boxes(t, lo, hi, _GL_ORDER_COARSE)
+        fine = _gl_boxes(t, lo, hi, _GL_ORDER_FINE)
+        if tol is None:
+            tol = rel_tol * np.maximum(np.abs(fine), 1e-300)
+        err = np.abs(fine - coarse)
+        done = err <= tol
+        total += np.bincount(owner[done], weights=fine[done], minlength=k)
+        split = ~done
+        pending = np.bincount(owner[split], weights=err[split], minlength=k)
+        lo, hi, tol, owner = lo[split], hi[split], tol[split], owner[split]
+        rows = np.arange(owner.size)
+        axis = np.argmax(hi - lo, axis=1)
+        mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+        lo_r = lo.copy()
+        lo_r[rows, axis] = mid
+        hi_l = hi.copy()
+        hi_l[rows, axis] = mid
+        lo, hi = np.concatenate([lo, lo_r]), np.concatenate([hi_l, hi])
+        tol, owner = np.tile(0.5 * tol, 2), np.tile(owner, 2)
+    return scale * total
+
+
+def power_integrals(
+    t: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    rel_tol: float = 1e-8,
+    budget: int = 50_000,
+) -> np.ndarray:
+    """Integral of |x|**t over each box [lower_i, upper_i] intersect (0, inf)**n.
+
+    `lower` and `upper` have shape (m, n).  Each box is held to rel_tol
+    and to `budget` subdivisions on its own.  Raises QuadratureBudgetError
+    for the first box whose budget runs out, and ValueError when the
+    integral diverges at the origin (t + n <= 0 with a box touching the
+    corner).
+    """
+    hi = np.asarray(upper, dtype=float)
+    lo = np.maximum(np.asarray(lower, dtype=float), 0.0)
+    m, n = lo.shape
+    out = np.zeros(m)
+    live = np.all(hi > lo, axis=1)
+
+    # exact antiderivative in one dimension
+    if n == 1:
+        a, b = lo[live, 0], hi[live, 0]
+        if t <= -1.0 and np.any(a == 0.0):
+            raise ValueError(f"integral of x**{t} diverges at 0")
+        out[live] = np.log(b / a) if t == -1.0 else (b ** (t + 1.0) - a ** (t + 1.0)) / (t + 1.0)
+        return out
+
+    corner = live & np.all(lo == 0.0, axis=1)
+    if np.any(corner) and t + n <= 0.0:
+        raise ValueError(f"integral of |x|**{t} diverges at the origin corner in dim {n}")
+    regular = np.flatnonzero(live & ~corner)
+    cells = np.flatnonzero(corner)
+    # a corner box (0, hi] is its ring, the 2**n - 1 boxes outside (0, hi/2]
+    bits = np.array(list(product((False, True), repeat=n))[1:])
+    top = hi[cells][:, None, :]
+    mid = 0.5 * top
+    ring_lo = np.where(bits, mid, 0.0).reshape(-1, n)
+    ring_hi = np.where(bits, top, mid).reshape(-1, n)
+    scale = np.ones(m)
+    if cells.size:  # t + n > 0 here, so the ring's share 1 - 2**-(t+n) is positive
+        scale[cells] = 1.0 / -math.expm1(-(t + n) * math.log(2.0))
+    out += _adaptive(
+        t,
+        np.concatenate([lo[regular], ring_lo]),
+        np.concatenate([hi[regular], ring_hi]),
+        np.concatenate([regular, np.repeat(cells, bits.shape[0])]),
+        scale,
+        rel_tol,
+        budget,
+    )
+    return out
 
 
 def power_integral_on_box(
@@ -85,66 +173,10 @@ def power_integral_on_box(
     rel_tol: float = 1e-8,
     budget: int = 50_000,
 ) -> float:
-    """Integral of |x|**t over (box intersect (0, inf)**n).
+    """Integral of |x|**t over (box intersect (0, inf)**n): power_integrals on one box.
 
-    `side` may be a scalar (cube) or per-axis widths.  Raises
-    QuadratureBudgetError when the subdivision budget runs out, and
-    ValueError when the integral diverges at the origin (t + n <= 0 with
-    the box touching the corner).
+    `side` may be a scalar (cube) or per-axis widths.
     """
     lo = np.array(lower, dtype=float)
-    n = lo.size
-    widths = np.full(n, float(side)) if np.isscalar(side) else np.array(side, dtype=float)
-    hi = lo + widths
-    lo = np.maximum(lo, 0.0)
-    if np.any(hi <= lo):
-        return 0.0
-
-    # exact antiderivative in one dimension
-    if n == 1:
-        a, b = float(lo[0]), float(hi[0])
-        if a == 0.0 and t <= -1.0:
-            raise ValueError(f"integral of x**{t} diverges at 0")
-        if t == -1.0:
-            return math.log(b / a)
-        return (b ** (t + 1.0) - a ** (t + 1.0)) / (t + 1.0)
-
-    budget_box = [budget]
-    if np.all(lo == 0.0):
-        return _corner_integral(t, hi, rel_tol, budget_box)
-    rough = abs(_gl_box(t, lo, hi, _GL_ORDER_FINE))
-    tol_abs = rel_tol * max(rough, 1e-300)
-    return _adaptive(t, lo, hi, tol_abs, budget_box)
-
-
-def _corner_integral(t: float, hi: np.ndarray, rel_tol: float, budget: list[int]) -> float:
-    """Peel the origin corner geometrically; converges iff t + n > 0."""
-    n = hi.size
-    if t + n <= 0.0:
-        raise ValueError(f"integral of |x|**{t} diverges at the origin corner in dim {n}")
-    total = 0.0
-    cur_hi = hi.astype(float)
-    zero = np.zeros(n)
-    for _ in range(4000):
-        mid = 0.5 * cur_hi
-        # the 2**n - 1 children away from the corner are regular boxes
-        ring = 0.0
-        for bits in np.ndindex(*(2,) * n):
-            if not any(bits):
-                continue
-            lo_c = np.where(np.array(bits, dtype=bool), mid, zero)
-            hi_c = np.where(np.array(bits, dtype=bool), cur_hi, mid)
-            rough = abs(_gl_box(t, lo_c, hi_c, _GL_ORDER_FINE))
-            ring += _adaptive(t, lo_c, hi_c, rel_tol * max(rough, 1e-300), budget)
-        total += ring
-        cur_hi = mid
-        # remaining corner mass over (0, h]^n: for t < 0 dominate |x|**t by
-        # max_j(x_j)**t, for t >= 0 by the far-corner value (sqrt(n) h)**t
-        h = float(np.max(cur_hi))
-        if t >= 0.0:
-            corner_bound = n ** (0.5 * t) * h ** (t + n)
-        else:
-            corner_bound = n * h ** (t + n) / (t + n)
-        if corner_bound <= rel_tol * max(abs(total), 1e-300):
-            return total
-    raise QuadratureBudgetError("corner peeling did not converge", total, corner_bound)
+    widths = np.full(lo.size, float(side)) if np.isscalar(side) else np.array(side, dtype=float)
+    return float(power_integrals(t, lo[None, :], (lo + widths)[None, :], rel_tol, budget)[0])

@@ -3,11 +3,11 @@ import math
 import pytest
 
 from rmlab.constructions import (
+    TreeSpacing,
     build_tree,
     descendant_radius,
     descendant_reach,
     modification_cutoff,
-    modify_distances,
     power_split,
     shell_thresholds,
     sparse_family,
@@ -15,8 +15,9 @@ from rmlab.constructions import (
     tree_function,
     tree_side_length,
 )
-from rmlab.funcrep import ParamSpace, lebesgue_norm, lq_norm_on_cube
+from rmlab.funcrep import ParamSpace, RadialPower, lebesgue_norm, lq_norm_on_cube, shell_integral_radial
 from rmlab.geometry import (
+    Cube,
     Domain,
     box_distance,
     interiors_pairwise_disjoint,
@@ -140,14 +141,14 @@ class TestDescendantRadius:
 class TestModifyDistances:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_gaps_positive(self, dim):
-        spacing = modify_distances(dim)
+        spacing = TreeSpacing.build(dim)
         for i in range(13):
             assert spacing.gap(i) > 0.0
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_widened_gap_algebra(self, dim):
         # with the doubling rule the gap equals sqrt(n) * reach(i+1) exactly
-        spacing = modify_distances(dim)
+        spacing = TreeSpacing.build(dim)
         for i in range(spacing.cutoff + 1):
             assert spacing.gap(i) == pytest.approx(
                 math.sqrt(dim) * spacing.reach(i + 1), rel=1e-14
@@ -155,7 +156,7 @@ class TestModifyDistances:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_raw_range_gap_above_half_distance(self, dim):
-        spacing = modify_distances(dim)
+        spacing = TreeSpacing.build(dim)
         for i in range(spacing.cutoff + 1, spacing.cutoff + 8):
             per_axis_gap = spacing.gap(i) / math.sqrt(dim)
             assert per_axis_gap > 0.5 * tree_side_length(i, dim)
@@ -298,6 +299,24 @@ class TestPowerSplit:
         for i in (-2, 0, 3):
             score = rm_score(split.function, split.ring_family(i), INTERMEDIATE, check=False)
             assert score == pytest.approx(split.ring_score_floor, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_theta_norm_on_ring_at_the_critical_exponent(self):
+        # theta * s = -n exactly at this triple, so each ring (0, 2h]^2 \ (0, h]^2 carries
+        # the scale-free integral (pi/2) ln 2 of the annulus between radii 1 and 2
+        split = power_split(2, 2, INTERMEDIATE)
+        theta = INTERMEDIATE.theta
+        assert split.radial_exponent * theta == -2.0
+        want = shell_integral_radial(-2.0, 1.0, 2.0, 2)
+        for i in (-3, 0, 2):
+            got = sum(lq_norm_on_cube(split.function, cube, theta) ** theta for cube in split.ring_family(i))
+            assert got == pytest.approx(want, rel=1e-12)
+        quad = pytest.importorskip("scipy.integrate").quad
+        # integral over [1, 2]^2 of 1/(x^2 + y^2) = int_1^2 (atan(2/x) - atan(1/x)) / x dx
+        ref, _ = quad(lambda x: (math.atan(2.0 / x) - math.atan(1.0 / x)) / x, 1.0, 2.0, epsabs=0.0, epsrel=1e-13)
+        f = RadialPower.from_params(INTERMEDIATE, 2)
+        got = lebesgue_norm(f, Domain.of_cube(Cube((1.0, 1.0), 1.0)), theta).value
+        assert got == pytest.approx(ref ** (1.0 / theta), rel=1e-12)
 
     def test_inner_part_critical_integrability_switch(self):
         # integral of |f|**t over the unit corner block: finite iff t' < theta

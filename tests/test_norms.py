@@ -142,6 +142,7 @@ class TestDyadicOptimizer:
         values = [v for _, v in est.trace]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_recursive_oracle(self):
         rng = np.random.default_rng(37)
         f = random_dyadic_step(rng, UNIT, 2)
@@ -171,6 +172,15 @@ class TestDyadicOptimizer:
             if not math.isinf(prm.q):
                 rescored = rm_score(g, est.certificate, prm) ** (1.0 / prm.p)
                 assert rescored == pytest.approx(est.value, rel=rel)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_near_critical_radial_power(self):
+        # s_q + n = 0.024: the origin cell's mass is large but finite
+        params = ParamSpace(2.0, 1.9, -0.02)
+        f = RadialPower.from_params(params, 2)
+        est = rm_norm_dyadic(f, Cube((0.0, 0.0), 1.0), 2, params, offsets=(0.0,))
+        assert est.value > 0.0
+        assert rm_score(f, est.certificate, params) == pytest.approx(est.value ** params.p, rel=1e-12)
 
     def test_overlapping_pieces_value_rescores(self):
         # overlapping supports add up; the bound must still re-score from its certificate

@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from rmlab.estimate import NormEstimate
-from rmlab.quadrature import QuadratureBudgetError, power_integral_on_box
+from rmlab.funcrep import RadialPower, grid_cell_values
+from rmlab.quadrature import QuadratureBudgetError, power_integral_on_box, power_integrals
 from rmlab.series import harmonic_number, partial_power_sum, power_series_sum, power_series_tail
 
 
+def corner_square_polar(t):
+    """Integral of |x|**t over (0, 1]^2 in polar form: 2/(t+2) * int_0^{pi/4} cos(phi)**-(t+2)."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    angular, _ = quad(lambda phi: math.cos(phi) ** -(t + 2.0), 0.0, math.pi / 4.0, epsabs=0.0, epsrel=1e-13)
+    return 2.0 / (t + 2.0) * angular
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPowerIntegral:
     def test_one_dim_closed_forms(self):
         assert power_integral_on_box(-0.5, (1.0,), 3.0) == pytest.approx(2.0, rel=1e-14)
@@ -46,6 +55,41 @@ class TestPowerIntegral:
         got = power_integral_on_box(-1.0, (0.0, 0.0), 1.0)
         assert got == pytest.approx(ref, rel=1e-7)
 
+    def test_unit_corner_closed_forms(self):
+        assert power_integral_on_box(-1.0, (0.0, 0.0), 1.0) == pytest.approx(2.0 * math.asinh(1.0), rel=1e-12)
+        for t in (-1.976, -1.8, 0.5):
+            assert power_integral_on_box(t, (0.0, 0.0), 1.0) == pytest.approx(corner_square_polar(t), rel=1e-12)
+
+    def test_non_cubic_corner_3d(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        t = -1.5
+        widths = (0.5, 1.0, 0.75)
+        ref, _ = scipy_integrate.nquad(
+            lambda z, y, x: (x * x + y * y + z * z) ** (0.5 * t), [[0.0, w] for w in widths[::-1]]
+        )
+        assert power_integral_on_box(t, (0.0, 0.0, 0.0), widths) == pytest.approx(ref, rel=1e-10)
+
+    def test_corner_scaling_law(self):
+        # M(h * hi) = h**(t+n) * M(hi) for the corner box (0, hi]
+        for t, hi in ((-1.9, (1.0, 0.6)), (-0.7, (0.3, 1.0)), (1.5, (1.0, 2.0, 0.5)), (-2.5, (1.0, 0.8, 0.9))):
+            n = len(hi)
+            base = power_integral_on_box(t, (0.0,) * n, hi)
+            for h in (0.5, 0.37, 3.0):
+                scaled = power_integral_on_box(t, (0.0,) * n, tuple(h * w for w in hi))
+                assert scaled == pytest.approx(h ** (t + n) * base, rel=1e-12)
+
+    def test_off_origin_box_at_any_exponent(self):
+        # t + n <= 0 diverges only on the corner: a box away from the origin stays finite
+        quad = pytest.importorskip("scipy.integrate").quad
+        # t = -2 in 2-D: integral over [1, 2]^2 of 1/(x^2 + y^2) = int_1^2 (atan(2/x) - atan(1/x)) / x dx
+        ref, _ = quad(lambda x: (math.atan(2.0 / x) - math.atan(1.0 / x)) / x, 1.0, 2.0, epsabs=0.0, epsrel=1e-13)
+        assert power_integral_on_box(-2.0, (1.0, 1.0), 1.0) == pytest.approx(ref, rel=1e-12)
+        # (t + n) ln 2 beyond the float range of exp
+        t = -1100.0
+        ref, _ = quad(lambda x: quad(lambda y: math.hypot(x, y) ** t, 0.7, 0.71, epsabs=0.0, epsrel=1e-12)[0],
+                      0.7, 0.71, epsabs=0.0, epsrel=1e-12)
+        assert power_integral_on_box(t, (0.7, 0.7), 0.01) == pytest.approx(ref, rel=1e-10)
+
     def test_divergent_corner_raises(self):
         with pytest.raises(ValueError):
             power_integral_on_box(-2.0, (0.0, 0.0), 1.0)
@@ -57,6 +101,47 @@ class TestPowerIntegral:
             power_integral_on_box(-1.9, (0.0, 0.0), 1.0, rel_tol=1e-13, budget=3)
         assert exc.value.value >= 0.0
         assert exc.value.error_estimate >= 0.0
+
+    def test_budget_is_per_box(self):
+        # 100 smooth boxes need one evaluation each: a budget of 1 covers every one of them
+        edges = 1.0 + 0.1 * np.arange(10)
+        lower = np.stack(np.meshgrid(edges, edges, indexing="ij"), axis=-1).reshape(-1, 2)
+        easy = power_integrals(-1.5, lower, lower + 0.1, budget=1)
+        assert easy == pytest.approx([power_integral_on_box(-1.5, tuple(lo), 0.1) for lo in lower], rel=1e-14)
+        # a box grazing the origin needs many; it alone raises, with its own partial value
+        hard_lo, hard_hi = (1e-6, 0.0), (1.0, 1.0)
+        with pytest.raises(QuadratureBudgetError) as alone:
+            power_integral_on_box(-1.9, hard_lo, (1.0 - 1e-6, 1.0), budget=20)
+        with pytest.raises(QuadratureBudgetError) as batched:
+            power_integrals(-1.9, np.vstack([lower, hard_lo]), np.vstack([lower + 0.1, hard_hi]), budget=20)
+        assert batched.value.value == alone.value.value
+        assert batched.value.error_estimate == alone.value.error_estimate
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBatchedCells:
+    """grid_cell_values integrates all radial cells of a grid in one batch."""
+
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (-1.0 / 3.0, 0.25), (0.0, 0.0, 0.0), (-0.25, -2.0 / 3.0, 0.5)])
+    def test_matches_per_cube(self, origin):
+        n = len(origin)
+        cells = 4 if n == 2 else 3
+        width = 0.25
+        for s in (-0.9, 0.4):
+            f = RadialPower(s, n)
+            got = grid_cell_values(f, origin, width, cells, 1.5)
+            for idx in np.ndindex(*got.shape):
+                lower = tuple(o + width * i for o, i in zip(origin, idx))
+                want = power_integral_on_box(1.5 * s, lower, width)
+                assert got[idx] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_sup_from_cell_corners(self):
+        got = grid_cell_values(RadialPower(-1.0, 2), (-0.5, 0.0), 0.5, 3, math.inf)
+        assert got[0, 0] == 0.0  # outside the orthant
+        assert got[1, 0] == math.inf  # on the origin corner
+        assert got[2, 1] == pytest.approx(1.0 / math.hypot(0.5, 0.5), rel=1e-15)
+        got = grid_cell_values(RadialPower(2.0, 2), (0.0, 0.0), 0.5, 2, math.inf)
+        assert got[1, 1] == pytest.approx(2.0, rel=1e-15)
 
 
 class TestSeries:
