@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import classify
 from .constructions import build_tree, power_split, shell_thresholds, sparse_function, tree_function
-from .funcrep import FunctionLike, ParamSpace, RadialPower, StepFunction
+from .funcrep import FunctionLike, ParamSpace, RadialPower, StepFunction, json_dim
 from .geometry import Cube, Domain
 from .norms import rm_norm_estimate
 from .verification import PROBES
@@ -223,7 +223,7 @@ def _read_function(text: str) -> tuple[FunctionLike, Cube]:
     if doc.get("kind") == "radial-power":
         inner = doc["inner_cube"]
         root = Cube(tuple(float(c) for c in inner["lower"]), float(inner["side"]))
-        return RadialPower(float(doc["exponent"]), int(doc["dim"])), root
+        return RadialPower(float(doc["exponent"]), json_dim(doc["dim"])), root
     f = StepFunction.from_json_dict(doc)
     lo = np.min([c.lower for c, _ in f.pieces], axis=0)
     hi = np.max([c.upper for c, _ in f.pieces], axis=0)

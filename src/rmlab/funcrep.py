@@ -32,6 +32,7 @@ __all__ = [
     "weak_norm",
     "shell_integral_radial",
     "positive_orthant_sphere_measure",
+    "json_dim",
 ]
 
 
@@ -95,6 +96,15 @@ class ParamSpace:
             )
 
 
+def json_dim(value: object) -> int:
+    """The `"dim"` field of a function document: an integral number, else ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"dim must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Finite sum of nonnegative heights times closed-cube indicators.
@@ -151,7 +161,7 @@ class StepFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StepFunction":
-        dim = int(data["dim"])
+        dim = json_dim(data["dim"])
         pieces = []
         for item in data["pieces"]:
             cube = Cube(tuple(float(c) for c in item["lower"]), float(item["side"]))

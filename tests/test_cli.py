@@ -148,6 +148,27 @@ class TestNormCommand:
             main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "0"])
         assert exc.value.code == 2
 
+    def test_radial_root_with_a_cell_just_off_the_origin(self, tmp_path, capsys):
+        fn = tmp_path / "radial.json"
+        fn.write_text(json.dumps({"kind": "radial-power", "dim": 2, "exponent": -0.9,
+                                  "inner_cube": {"lower": [-0.3, -0.3], "side": 0.8}}))
+        code, out = run_cli(
+            ["norm", "--function", str(fn), "--p", "2", "--q", "2", "--alpha", "-0.1", "--depth", "3"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["value"] > 0.0
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": 2.7, "pieces": [{"lower": [0.0, 0.0], "side": 1.0, "height": 1.0}]},
+        {"kind": "radial-power", "dim": 2.7, "exponent": -0.9, "inner_cube": {"lower": [0.0, 0.0], "side": 1.0}},
+    ], ids=["step", "radial"])
+    def test_non_integral_dim_exits_2(self, tmp_path, doc):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "-0.25", "--depth", "2"])
+        assert exc.value.code == 2
+
     def test_infinite_p_routes_to_single_cube(self, tmp_path, capsys):
         fn = tmp_path / "f.json"
         fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))

@@ -182,6 +182,15 @@ class TestDyadicOptimizer:
         assert est.value > 0.0
         assert rm_score(f, est.certificate, params) == pytest.approx(est.value ** params.p, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radial_cell_just_off_the_origin(self):
+        # the grid cell at index 3 has lower corner -0.3 + 3 * 0.1 = 5.55e-17, a rounding residue
+        params = ParamSpace(2.0, 1.5, -0.1)
+        f = RadialPower.from_params(params, 2)
+        est = rm_norm_dyadic(f, Cube((-0.3, -0.3), 0.8), 3, params, offsets=(0.0,))
+        assert est.value > 0.0
+        assert rm_score(f, est.certificate, params) == pytest.approx(est.value ** params.p, rel=1e-12)
+
     def test_overlapping_pieces_value_rescores(self):
         # overlapping supports add up; the bound must still re-score from its certificate
         doubled = StepFunction(((UNIT, 1.0), (UNIT, 1.0)))

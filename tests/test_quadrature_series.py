@@ -5,7 +5,7 @@ import pytest
 
 from rmlab.estimate import NormEstimate
 from rmlab.funcrep import RadialPower, grid_cell_values
-from rmlab.quadrature import QuadratureBudgetError, power_integral_on_box, power_integrals
+from rmlab.quadrature import power_integral_on_box
 from rmlab.series import harmonic_number, partial_power_sum, power_series_sum, power_series_tail
 
 
@@ -89,6 +89,11 @@ class TestPowerIntegral:
         ref, _ = quad(lambda x: quad(lambda y: math.hypot(x, y) ** t, 0.7, 0.71, epsabs=0.0, epsrel=1e-12)[0],
                       0.7, 0.71, epsabs=0.0, epsrel=1e-12)
         assert power_integral_on_box(t, (0.7, 0.7), 0.01) == pytest.approx(ref, rel=1e-10)
+        # at unit scale this box's nearest point is 1/2, and 2**1100 overflows: the
+        # integrand must be taken relative to its peak
+        ref, _ = quad(lambda x: quad(lambda y: math.hypot(x, y) ** t, 0.0, 0.01, epsabs=0.0, epsrel=1e-12)[0],
+                      1.0, 1.01, epsabs=0.0, epsrel=1e-12)
+        assert power_integral_on_box(t, (1.0, 0.0), 0.01) == pytest.approx(ref, rel=1e-10)
 
     def test_divergent_corner_raises(self):
         with pytest.raises(ValueError):
@@ -96,26 +101,25 @@ class TestPowerIntegral:
         with pytest.raises(ValueError):
             power_integral_on_box(-1.0, (0.0,), 1.0)
 
-    def test_budget_error_carries_partial_value(self):
-        with pytest.raises(QuadratureBudgetError) as exc:
-            power_integral_on_box(-1.9, (0.0, 0.0), 1.0, rel_tol=1e-13, budget=3)
-        assert exc.value.value >= 0.0
-        assert exc.value.error_estimate >= 0.0
+    def test_near_origin_boxes(self):
+        # references: mpmath quad at 30 digits; scipy dblquad is wrong this close to the corner
+        assert power_integral_on_box(-1.5, (0.0, 1e-6), (1.0, 1.0 - 1e-6)) == pytest.approx(
+            3.31834274961516565, rel=1e-12)
+        assert power_integral_on_box(-1.5, (0.0, 1e-12), (1.0, 1.0 - 1e-12)) == pytest.approx(
+            3.32357962061064130, rel=1e-12)
+        # a strip of width 1e-200 along the axis holds about 5.244 * 1e-100 of the corner value
+        got = power_integral_on_box(-1.5, (1e-200, 0.0), (1.0, 1.0))
+        assert got == pytest.approx(corner_square_polar(-1.5), rel=1e-12)
 
-    def test_budget_is_per_box(self):
-        # 100 smooth boxes need one evaluation each: a budget of 1 covers every one of them
-        edges = 1.0 + 0.1 * np.arange(10)
-        lower = np.stack(np.meshgrid(edges, edges, indexing="ij"), axis=-1).reshape(-1, 2)
-        easy = power_integrals(-1.5, lower, lower + 0.1, budget=1)
-        assert easy == pytest.approx([power_integral_on_box(-1.5, tuple(lo), 0.1) for lo in lower], rel=1e-14)
-        # a box grazing the origin needs many; it alone raises, with its own partial value
-        hard_lo, hard_hi = (1e-6, 0.0), (1.0, 1.0)
-        with pytest.raises(QuadratureBudgetError) as alone:
-            power_integral_on_box(-1.9, hard_lo, (1.0 - 1e-6, 1.0), budget=20)
-        with pytest.raises(QuadratureBudgetError) as batched:
-            power_integrals(-1.9, np.vstack([lower, hard_lo]), np.vstack([lower + 0.1, hard_hi]), budget=20)
-        assert batched.value.value == alone.value.value
-        assert batched.value.error_estimate == alone.value.error_estimate
+    def test_extreme_inputs_end(self):
+        # the midpoint of a subnormal coordinate cannot be resolved: rejected at the entry
+        with pytest.raises(ValueError, match="subnormal"):
+            power_integral_on_box(-1.5, (5e-324, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            power_integral_on_box(-1.5, (0.5, 0.5), (math.inf, 1.0))
+        # kappa is floored, so a huge |t| grades into a bounded number of boxes; the
+        # integrand near (0.7, 0.7) is 0.99**-1e9, so the integral overflows
+        assert power_integral_on_box(-1e9, (0.7, 0.7), 0.01) == math.inf
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
