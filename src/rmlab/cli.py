@@ -239,17 +239,14 @@ def _cmd_norm(args, parser) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         parser.error(f"function: {exc}")
     n = f.dim
-    if args.root is not None:
-        coords = [float(v) for v in args.root.split(",")]
-        if args.side is None:
-            parser.error("--root needs --side")
-        root = Cube(tuple(coords), args.side)
+    if args.root is not None and args.side is None:
+        parser.error("--root needs --side")
     depth = args.depth if args.depth is not None else 6
-    offsets = None
-    if args.offsets is not None:
-        offsets = tuple(float(v) for v in args.offsets.split(","))
-    domain = Domain.whole_space(n) if args.domain in (None, "rn") else Domain.of_cube(root)
     try:
+        if args.root is not None:
+            root = Cube(tuple(float(v) for v in args.root.split(",")), args.side)
+        offsets = None if args.offsets is None else tuple(float(v) for v in args.offsets.split(","))
+        domain = Domain.whole_space(n) if args.domain in (None, "rn") else Domain.of_cube(root)
         est = rm_norm_estimate(f, params, root, depth, offsets=offsets, domain=domain)
     except ValueError as exc:
         parser.error(str(exc))

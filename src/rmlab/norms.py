@@ -76,10 +76,22 @@ def rm_score(
 # dyadic dynamic program
 # ---------------------------------------------------------------------------
 
+# even and odd cells along axis j; a coarsened grid has depth >= 1, so dim <= 24
+_EVEN, _ODD = (tuple((slice(None),) * j + (slice(b, None, 2),) for j in range(24)) for b in (0, 1))
+
+
 def _coarsen(a: np.ndarray, combine: np.ufunc) -> np.ndarray:
-    """Combine each block of 2**n child cells into its parent cell."""
-    half = a.shape[0] // 2
-    return combine.reduce(a.reshape((half, 2) * a.ndim), axis=tuple(range(1, 2 * a.ndim, 2)))
+    """Combine each block of 2**n child cells into its parent cell.
+
+    Cells pair along one axis at a time, last axis first: the order of a
+    reduce over the (half, 2)**n blocks in 1-D and 2-D.  That reduce adds
+    the root's 2**n children as one run instead, so the root keeps it.
+    """
+    if a.shape[0] == 2:
+        return combine.reduce(a, axis=None, keepdims=True)
+    for j in range(a.ndim - 1, -1, -1):
+        a = combine(a[_EVEN[j]], a[_ODD[j]])
+    return a
 
 
 def _dp_grid(
@@ -165,7 +177,9 @@ def rm_norm_dyadic(
     n = root.dim
     if 1 << (n * depth) > MAX_DP_CELLS:
         raise ValueError(f"depth {depth} in dimension {n} exceeds the budget of {MAX_DP_CELLS} cells")
-    offset_list = tuple(DEFAULT_OFFSETS if offsets is None else offsets)
+    offset_list = tuple(dict.fromkeys(DEFAULT_OFFSETS if offsets is None else offsets))
+    if not offset_list:
+        raise ValueError("offsets must not be empty")
     if any(not 0.0 <= o < 1.0 for o in offset_list):
         raise ValueError("offsets must lie in [0, 1)")
 

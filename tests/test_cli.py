@@ -169,6 +169,18 @@ class TestNormCommand:
             main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "-0.25", "--depth", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--root", "0,abc", "--side", "1"],
+        ["--root", "0", "--side", "-1"],
+        ["--offsets", ""],
+    ], ids=["root-not-a-number", "negative-side", "empty-offsets"])
+    def test_bad_root_side_or_offsets_exit_2(self, tmp_path, flags):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "-0.25", *flags])
+        assert exc.value.code == 2
+
     def test_infinite_p_routes_to_single_cube(self, tmp_path, capsys):
         fn = tmp_path / "f.json"
         fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmlab import norms
 from rmlab.estimate import LOWER_BOUND
 from rmlab.funcrep import ParamSpace, RadialPower, StepFunction, lebesgue_norm, lq_norm_on_cube
 from rmlab.geometry import Cube, Domain, dyadic_children
 from rmlab.norms import (
     DEFAULT_OFFSETS,
     MAX_DP_CELLS,
+    _coarsen,
+    _dp_grid,
     morrey_norm_estimate,
     riesz_norm,
     rm_norm_bruteforce_1d,
@@ -47,6 +50,12 @@ def oracle_trace(f, root, depth, params, offsets):
         for d in range(depth + 1):
             best[d] = max(best[d], _dp_generic(f, shifted, d, params))
     return [v ** (1.0 / params.p) for v in np.maximum.accumulate(best)]
+
+
+def _coarsen_by_reduce(a, combine):
+    """The reshape-and-reduce coarsening the strided kernel replaced: the test reference."""
+    half = a.shape[0] // 2
+    return combine.reduce(a.reshape((half, 2) * a.ndim), axis=tuple(range(1, 2 * a.ndim, 2)))
 
 
 def two_step():
@@ -93,6 +102,21 @@ class TestRmScore:
             low = rm_score(f, cells, ParamSpace(p, q, alpha), check=False)
             high = rm_score(f, cells, ParamSpace(p, beta, alpha), check=False)
             assert low <= high * (1.0 + 1e-12)
+
+
+class TestCoarsen:
+    @pytest.mark.parametrize("combine", [np.add, np.maximum], ids=["add", "maximum"])
+    @pytest.mark.parametrize("dim, cells", [(1, 2), (1, 6), (1, 512), (2, 2), (2, 6), (2, 512)])
+    def test_bit_identical_to_reduce_in_one_and_two_dims(self, dim, cells, combine):
+        a = 10.0 ** np.random.default_rng(cells * dim).uniform(-3.0, 3.0, (cells,) * dim)
+        assert np.array_equal(_coarsen(a, combine), _coarsen_by_reduce(a, combine))
+
+    @pytest.mark.parametrize("cells", [2, 4, 16, 64])
+    def test_three_dims(self, cells):
+        a = 10.0 ** np.random.default_rng(cells).uniform(-3.0, 3.0, (cells,) * 3)
+        assert np.array_equal(_coarsen(a, np.maximum), _coarsen_by_reduce(a, np.maximum))
+        want = _coarsen_by_reduce(a, np.add)
+        assert np.max(np.abs(_coarsen(a, np.add) - want) / want) <= 4 * np.finfo(float).eps
 
 
 class TestDyadicOptimizer:
@@ -215,6 +239,22 @@ class TestDyadicOptimizer:
         family = random_dyadic_partition(rng, root, max_depth=depth)
         est = rm_norm_dyadic(f, root, depth, params, offsets=(0.0,))
         assert est.value ** params.p >= rm_score(f, family, params) * (1.0 - 1e-12)
+
+    def test_empty_offsets_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            rm_norm_dyadic(two_step(), UNIT, 2, RIESZ2, offsets=())
+
+    def test_repeated_offsets_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        square = Cube((-4.0, -4.0), 8.0)
+        f = random_step_function(rng, 2)
+        params = random_intermediate_params(rng)
+        once = rm_norm_dyadic(f, square, 3, params, offsets=(0.5, 0.0))
+        grids = []
+        monkeypatch.setattr(norms, "_dp_grid", lambda *a: grids.append(a[1]) or _dp_grid(*a))
+        again = rm_norm_dyadic(f, square, 3, params, offsets=(0.5, 0.0, 0.5, 0.0, 0.0))
+        assert (again.value, again.certificate, again.trace) == (once.value, once.certificate, once.trace)
+        assert grids == [(0.0, 0.0), (0.0, -4.0), (-4.0, 0.0), (-4.0, -4.0)]
 
     def test_depth_cap(self):
         assert MAX_DP_CELLS == 1 << 24
