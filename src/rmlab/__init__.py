@@ -53,8 +53,8 @@ from .constructions import (
 from .norms import (
     morrey_norm_estimate,
     riesz_norm,
-    rm_norm_bruteforce_1d,
     rm_norm_dyadic,
+    rm_norm_intervals_1d,
     rm_norm_estimate,
     rm_score,
 )
@@ -66,7 +66,6 @@ from .analysis import (
     check_power_sum_inequalities,
     classify,
     growth_probe,
-    interpolation_index,
     shell_divergence_probe,
     sparse_multi_overlap_bound,
     sparse_single_overlap_bound,

@@ -40,7 +40,6 @@ __all__ = [
     "tree_single_overlap_bound",
     "tree_multi_overlap_bound",
     "shell_divergence_probe",
-    "interpolation_index",
 ]
 
 
@@ -136,18 +135,6 @@ def check_embedding(
     return True
 
 
-def interpolation_index(p: float, alpha: float) -> float:
-    """theta = p / (1 - p*alpha)."""
-    if math.isinf(p):
-        if alpha >= 0.0:
-            raise ValueError("interpolation index undefined for p = inf, alpha >= 0")
-        return -1.0 / alpha
-    denom = 1.0 - p * alpha
-    if denom == 0.0:
-        raise ValueError("interpolation index undefined: p * alpha == 1")
-    return p / denom
-
-
 # ---------------------------------------------------------------------------
 # classifier
 # ---------------------------------------------------------------------------
@@ -194,7 +181,7 @@ def classify(p: float, q: float, alpha: float, domain_kind: str) -> Classificati
         if split < alpha < 0.0:
             return Classification(
                 PROPER_SUPERSET_OF_LTHETA,
-                theta=interpolation_index(p, alpha),
+                theta=ParamSpace(p, q, alpha).theta,
                 tag=f"{domain_kind}:q<p:intermediate",
             )
         if domain_kind == "whole-space":
@@ -226,17 +213,19 @@ class GrowthReport:
     fit_class is one of "bounded", "logarithmic", "linear", or
     "inconclusive".  Thresholds: the sequence is bounded when the fitted
     log-slope over the second half of the (log-spaced) samples collapses
-    below `collapse_ratio` times the first-half slope; otherwise the
+    below COLLAPSE_RATIO times the first-half slope; otherwise the
     logarithmic and linear least-squares fits must separate by a residual
-    ratio of at least `residual_ratio`.
+    ratio of at least RESIDUAL_RATIO.
     """
 
     samples: tuple[tuple[float, float], ...]
     fit_class: str
     rate: float
     residual: float
-    collapse_ratio: float = 0.2
-    residual_ratio: float = 10.0
+
+
+COLLAPSE_RATIO = 0.2
+RESIDUAL_RATIO = 10.0
 
 
 def _ls_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -290,11 +279,11 @@ def growth_probe(partial_sums: Iterable[float], sample_points: Sequence[int]) ->
     # flat data: slopes are numerical noise, call it bounded outright
     if span <= 1e-12 * scale:
         return report("bounded", 0.0, float(np.std(s)))
-    if abs(b_second) <= GrowthReport.collapse_ratio * abs(b_first):
+    if abs(b_second) <= COLLAPSE_RATIO * abs(b_first):
         return report("bounded", float(np.mean(s)), float(np.std(s[half:])))
-    if res_log * GrowthReport.residual_ratio <= res_lin:
+    if res_log * RESIDUAL_RATIO <= res_lin:
         return report("logarithmic", b_log, res_log)
-    if res_lin * GrowthReport.residual_ratio <= res_log:
+    if res_lin * RESIDUAL_RATIO <= res_log:
         return report("linear", b_lin, res_lin)
     return report("inconclusive", 0.0, min(res_log, res_lin))
 

@@ -86,8 +86,15 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, default=None)
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset flags from a JSON config file mirroring flag names."""
+def _apply_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str]
+) -> argparse.Namespace:
+    """Fill unset flags from a JSON config file mirroring flag names.
+
+    Each applied value is parsed again as the command-line text of its
+    flag, so it passes the flag's own type and choices.  Only numbers and
+    strings have such a text.
+    """
     if getattr(args, "config", None) is None:
         return args
     try:
@@ -96,13 +103,16 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"config: {exc}")
     if not isinstance(data, dict):
         parser.error("config: top-level JSON object expected")
+    flags = []
     for key, value in data.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             parser.error(f"config: unknown field {key!r}")
         if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    return args
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                parser.error(f"config: field {key!r} needs a number or a string, got {json.dumps(value)}")
+            flags.append(f"--{attr.replace('_', '-')}={value}")
+    return parser.parse_args([*argv, *flags])
 
 
 # Output paths are left out of recorded configs, so document bytes do not
@@ -296,7 +306,12 @@ def _cmd_verify(args, parser) -> int:
     for name in names:
         if name not in PROBES:
             parser.error(f"unknown probe {name!r}; available: {', '.join(sorted(PROBES))}")
-    results = [PROBES[name](**_probe_kwargs(name, args)) for name in names]
+    results = []
+    for name in names:
+        try:
+            results.append(PROBES[name](**_probe_kwargs(name, args)))
+        except ValueError as exc:
+            parser.error(f"{name}: {exc}")
     results.sort(key=lambda r: r.name)
 
     verdicts = []
@@ -395,8 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _apply_config(parser.parse_args(argv), parser, argv)
     return args.func(args, parser)
 
 

@@ -27,19 +27,20 @@ from .geometry import Cube, CubeFamily, Domain, dyadic_children, interiors_pairw
 __all__ = [
     "rm_score",
     "rm_norm_dyadic",
-    "rm_norm_bruteforce_1d",
+    "rm_norm_intervals_1d",
     "rm_norm_estimate",
     "riesz_norm",
     "morrey_norm_estimate",
     "DEFAULT_OFFSETS",
     "MAX_DP_CELLS",
-    "MAX_BRUTEFORCE_CELLS",
+    "MAX_INTERVAL_CELLS",
 ]
 
 DEFAULT_OFFSETS: tuple[float, ...] = (0.0, 1.0 / 3.0, 2.0 / 3.0)
 # finest-level cells per grid the DP may allocate: depth * dim <= 24
 MAX_DP_CELLS = 1 << 24
-MAX_BRUTEFORCE_CELLS = 14
+# grid cells of the O(m**2) interval DP
+MAX_INTERVAL_CELLS = 1 << 14
 
 
 def rm_score(
@@ -76,6 +77,19 @@ def rm_score(
 # dyadic dynamic program
 # ---------------------------------------------------------------------------
 
+def _scores(volume: float | np.ndarray, mass: np.ndarray, params: ParamSpace) -> np.ndarray:
+    """Scores volume**e * mass**r, 0 where the mass is 0, of cells with masses
+    integral |f|**q (r = p/q), or sup |f| for q = inf (r = p).  `volume` is
+    one float for all cells or an array shaped like `mass`."""
+    r = params.p if math.isinf(params.q) else params.p / params.q
+    s = np.zeros_like(mass)
+    pos = mass > 0.0
+    if np.ndim(volume):
+        volume = volume[pos]
+    s[pos] = volume ** params.score_exponent * mass[pos] ** r
+    return s
+
+
 # even and odd cells along axis j; a coarsened grid has depth >= 1, so dim <= 24
 _EVEN, _ODD = (tuple((slice(None),) * j + (slice(b, None, 2),) for j in range(24)) for b in (0, 1))
 
@@ -106,13 +120,9 @@ def _dp_grid(
     n = len(origin)
     values = grid_cell_values(f, origin, side / (1 << depth), 1 << depth, params.q)
     combine = np.maximum if math.isinf(params.q) else np.add
-    r = params.p if math.isinf(params.q) else params.p / params.q
     scores = []
     for d in range(depth, -1, -1):
-        s = np.zeros_like(values)
-        pos = values > 0.0
-        s[pos] = ((side / (1 << d)) ** n) ** params.score_exponent * values[pos] ** r
-        scores.append(s)
+        scores.append(_scores((side / (1 << d)) ** n, values, params))
         if d:
             values = _coarsen(values, combine)
     scores.reverse()
@@ -202,71 +212,51 @@ def rm_norm_dyadic(
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle over interval compositions
+# exact 1-D optimum over grid intervals
 # ---------------------------------------------------------------------------
 
-def rm_norm_bruteforce_1d(
-    f: FunctionLike,
-    root: Cube,
-    grid_cells: int,
-    params: ParamSpace,
-) -> NormEstimate:
-    """Exact maximum of the family score over every composition of a uniform
-    1-D grid into contiguous intervals.
+def rm_norm_intervals_1d(f: FunctionLike, root: Cube, grid_cells: int, params: ParamSpace) -> NormEstimate:
+    """Exact maximum of the family score over every family of intervals of a
+    uniform 1-D grid with m cells.
 
-    A grid with m cells has 2**(m-1) compositions (every internal boundary
-    is either cut or not); all are enumerated, so this is an independent
-    oracle for grid-aligned optimizers.  Covering compositions are optimal
-    because scores are nonnegative, so gaps are never needed.
+    Scores are nonnegative, so gaps are never needed and the optimum is a
+    composition of the grid into contiguous intervals.  The optimal-partitioning
+    recurrence best[j] = max_i best[i] + score([i, j)) finds it in O(m**2)
+    (Jackson et al., IEEE SPL 2005).  The masses of [i, j) for a fixed j
+    accumulate over the finest cells from j leftwards, so no prefix sums
+    are differenced.  Zero-mass intervals are left out of the certificate.
     """
     if root.dim != 1:
-        raise ValueError("brute force oracle is one-dimensional")
+        raise ValueError("the interval DP is one-dimensional")
     if math.isinf(params.p):
-        raise ValueError("brute force oracle needs finite p")
-    if not 1 <= grid_cells <= MAX_BRUTEFORCE_CELLS:
-        raise ValueError(f"grid_cells must be in 1..{MAX_BRUTEFORCE_CELLS}")
+        raise ValueError("the interval DP needs finite p")
+    if not 1 <= grid_cells <= MAX_INTERVAL_CELLS:
+        raise ValueError(f"grid_cells must be in 1..{MAX_INTERVAL_CELLS}")
     m = grid_cells
-    w = root.side / m
     lo = root.lower[0]
+    w = root.side / m
     edges = lo + w * np.arange(m + 1, dtype=float)
+    cells = grid_cell_values(f, (lo,), w, m, params.q)
+    combine = np.maximum if math.isinf(params.q) else np.add
 
-    e = params.score_exponent
-    score = np.zeros((m + 1, m + 1))
-    for i in range(m):
-        for j in range(i + 1, m + 1):
-            cell = Cube((edges[i],), edges[j] - edges[i])
-            nq = lq_norm_on_cube(f, cell, params.q)
-            score[i][j] = (edges[j] - edges[i]) ** e * nq ** params.p if nq > 0.0 else 0.0
-
-    best = -1.0
-    best_cuts = 0
-    for mask in range(1 << (m - 1)):
-        total = 0.0
-        start = 0
-        for b in range(m - 1):
-            if mask >> b & 1:
-                total += score[start][b + 1]
-                start = b + 1
-        total += score[start][m]
-        if total > best:
-            best = total
-            best_cuts = mask
-    cells = []
-    start = 0
-    for b in range(m - 1):
-        if best_cuts >> b & 1:
-            if score[start][b + 1] > 0.0:
-                cells.append(Cube((edges[start],), edges[b + 1] - edges[start]))
-            start = b + 1
-    if score[start][m] > 0.0:
-        cells.append(Cube((edges[start],), edges[m] - edges[start]))
-    value = max(best, 0.0) ** (1.0 / params.p)
-    return NormEstimate(
-        value,
-        LOWER_BOUND,
-        certificate=CubeFamily(tuple(cells)),
-        trace=((float(m), value),),
-    )
+    best = np.zeros(m + 1)
+    start = np.zeros(m + 1, dtype=np.int64)
+    for j in range(1, m + 1):
+        # mass and score of [i, j) for i = 0..j-1
+        mass = combine.accumulate(cells[j - 1::-1])[::-1]
+        total = best[:j] + _scores(edges[j] - edges[:j], mass, params)
+        start[j] = np.argmax(total)
+        best[j] = total[start[j]]
+    pieces = []
+    j = m
+    while j:
+        i = int(start[j])
+        if cells[i:j].any():
+            pieces.append(Cube((float(edges[i]),), float(edges[j] - edges[i])))
+        j = i
+    value = float(best[m]) ** (1.0 / params.p)
+    family = CubeFamily(tuple(reversed(pieces)))
+    return NormEstimate(value, LOWER_BOUND, certificate=family, trace=((float(m), value),))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +283,6 @@ def morrey_norm_estimate(
     q: float,
     alpha: float,
     dyadic_depth: int = 6,
-    include_merges: bool = True,
     root: Cube | None = None,
 ) -> NormEstimate:
     """Lower bound for sup over single cubes of |Q|**(-alpha-1/q) ||f||_{L^q(Q)}.
@@ -329,7 +318,7 @@ def morrey_norm_estimate(
                 break
             frontier = [kid for c in frontier for kid in dyadic_children(c)]
 
-    if include_merges and supports:
+    if supports:
         order = sorted(supports, key=lambda c: c.lower)
         for i in range(len(order)):
             for j in range(i + 1, min(i + 9, len(order) + 1)):

@@ -28,7 +28,7 @@ from .analysis import (
 from .constructions import build_tree, sparse_function, tree_function
 from .funcrep import ParamSpace, StepFunction, lebesgue_norm, weak_norm
 from .geometry import Cube, CubeFamily, Domain, dyadic_children, interiors_pairwise_disjoint
-from .norms import riesz_norm, rm_norm_bruteforce_1d, rm_norm_dyadic, rm_score
+from .norms import riesz_norm, rm_norm_dyadic, rm_norm_intervals_1d, rm_score
 from .series import harmonic_number
 
 __all__ = [
@@ -189,8 +189,8 @@ def verify_singleton_regime(
 ) -> ProbeResult:
     """With q <= p and alpha <= 1/p - 1/q the whole cube is the optimal family.
 
-    The all-compositions oracle confirms that no enumerated family beats
-    the singleton and that the maximum equals
+    The exact optimum over grid-interval families (the interval DP)
+    confirms that no such family beats the singleton and that it equals
     |Q0|**(1-p*alpha-p/q) ||f||_{L^q(Q0)}**p.
     """
     t0 = time.perf_counter()
@@ -206,8 +206,8 @@ def verify_singleton_regime(
         for i in range(count):
             f = random_dyadic_step(rng, root, int(rng.integers(1, 5)))
             singleton = rm_score(f, [root], params)
-            bf = rm_norm_bruteforce_1d(f, root, grid_cells, params)
-            best = bf.value ** p
+            iv = rm_norm_intervals_1d(f, root, grid_cells, params)
+            best = iv.value ** p
             exceeded = max(exceeded, (best - singleton) / max(singleton, 1e-300))
             worst = max(worst, abs(best - singleton) / max(singleton, 1e-300))
     passed = worst <= tol and exceeded <= 1e-12
@@ -416,13 +416,13 @@ def verify_oracle_equivalence(
     grid_range: Sequence[int] = tuple(range(4, 13)),
     noise_tol: float = 1e-12,
 ) -> ProbeResult:
-    """Partition optimizer and composition oracle agree on shared feasible sets.
+    """Dyadic optimizer and exact interval optimum agree on shared feasible sets.
 
     Exact agreement is asserted where the optimum provably lies in both
     search spaces: singleton-dominant parameters on every grid size, and
     the averaging scale (q=1, alpha=0, refinement-optimal) on power-of-two
     grids whose cells coincide with the optimizer leaves.  On intermediate
-    parameters the composition oracle may exceed the dyadic optimizer, so
+    parameters the interval optimum may exceed the dyadic optimizer, so
     only the one-sided bound is required there.
     """
     t0 = time.perf_counter()
@@ -439,10 +439,10 @@ def verify_oracle_equivalence(
         f = random_dyadic_step(rng, root, depth)
 
         # singleton-dominant: both searches attain the whole-cube score
-        bf = rm_norm_bruteforce_1d(f, root, grid_cells, singleton_params)
+        iv = rm_norm_intervals_1d(f, root, grid_cells, singleton_params)
         dp = rm_norm_dyadic(f, root, depth, singleton_params, offsets=(0.0,))
-        scale = max(bf.value, dp.value, 1e-300)
-        worst_eq = max(worst_eq, abs(bf.value - dp.value) / scale)
+        scale = max(iv.value, dp.value, 1e-300)
+        worst_eq = max(worst_eq, abs(iv.value - dp.value) / scale)
         cases += 1
 
         # averaging scale on dyadic-aligned grids: finest partition optimal
@@ -451,20 +451,20 @@ def verify_oracle_equivalence(
             g = random_dyadic_step(rng, root, k)
             for p in riesz_ps:
                 pr = ParamSpace(p, 1.0, 0.0)
-                bf2 = rm_norm_bruteforce_1d(g, root, grid_cells, pr)
+                iv2 = rm_norm_intervals_1d(g, root, grid_cells, pr)
                 dp2 = rm_norm_dyadic(g, root, k, pr, offsets=(0.0,))
-                scale = max(bf2.value, dp2.value, 1e-300)
-                worst_eq = max(worst_eq, abs(bf2.value - dp2.value) / scale)
+                scale = max(iv2.value, dp2.value, 1e-300)
+                worst_eq = max(worst_eq, abs(iv2.value - dp2.value) / scale)
                 cases += 1
 
-        # intermediate parameters: optimizer can only fall below the oracle
+        # intermediate parameters: optimizer can only fall below the interval optimum
         if grid_cells in (4, 8):
             k = grid_cells.bit_length() - 1
             pm = random_intermediate_params(rng)
             h = random_dyadic_step(rng, root, k)
-            bf3 = rm_norm_bruteforce_1d(h, root, grid_cells, pm)
+            iv3 = rm_norm_intervals_1d(h, root, grid_cells, pm)
             dp3 = rm_norm_dyadic(h, root, k, pm, offsets=(0.0,))
-            worst_one_sided = max(worst_one_sided, dp3.value - bf3.value * (1.0 + noise_tol))
+            worst_one_sided = max(worst_one_sided, dp3.value - iv3.value * (1.0 + noise_tol))
     passed = worst_eq <= noise_tol and worst_one_sided <= 0.0
     return ProbeResult(
         "oracle-equivalence",

@@ -9,7 +9,6 @@ from rmlab.analysis import (
     check_power_sum_inequalities,
     classify,
     growth_probe,
-    interpolation_index,
     shell_divergence_probe,
     sparse_multi_overlap_bound,
     sparse_single_overlap_bound,
@@ -268,21 +267,3 @@ class TestShellDivergenceProbe:
     def test_regime_guard(self):
         with pytest.raises(ValueError):
             shell_divergence_probe(50, 1, 2.0, 1.0, -0.25)
-
-
-class TestInterpolationIndex:
-    def test_examples(self):
-        assert interpolation_index(2.0, 0.0) == 2.0
-        assert interpolation_index(2.0, -0.25) == pytest.approx(4.0 / 3.0, rel=1e-15)
-
-    def test_endpoint_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            p = float(rng.uniform(1.1, 5.0))
-            q = float(rng.uniform(1.0, p))
-            split = 1.0 / p - 1.0 / q
-            assert interpolation_index(p, split) == pytest.approx(q, rel=1e-12)
-
-    def test_degenerate(self):
-        with pytest.raises(ValueError):
-            interpolation_index(2.0, 0.5)

