@@ -267,3 +267,11 @@ class TestShellDivergenceProbe:
     def test_regime_guard(self):
         with pytest.raises(ValueError):
             shell_divergence_probe(50, 1, 2.0, 1.0, -0.25)
+
+
+class TestInterpolationIndex:
+    def test_examples(self):
+        # the index classify reports for the intermediate regime is ParamSpace.theta
+        assert ParamSpace(2.0, 1.0, 0.0).theta == 2.0
+        assert ParamSpace(2.0, 1.0, -0.25).theta == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert classify(2.0, 1.0, -0.25, "whole-space").theta == ParamSpace(2.0, 1.0, -0.25).theta
