@@ -69,24 +69,33 @@ class PowerSumReport:
 def check_power_sum_inequalities(
     seq: Sequence[float], gamma: float, head_count: int | None = None, rel_tol: float = 1e-12
 ) -> PowerSumReport:
-    """Verify the four power-sum inequalities on a positive sequence."""
-    a = np.asarray(seq, dtype=float)
-    if a.size == 0 or np.any(a <= 0.0) or not np.all(np.isfinite(a)):
+    """Verify the four power-sum inequalities on a positive sequence.
+
+    The entries are taken as Python floats and each sum is exactly rounded
+    (math.fsum).  Raises ValueError when a power or sum overflows a double.
+    """
+    a = [float(x) for x in (seq.tolist() if isinstance(seq, np.ndarray) else seq)]
+    if not a or not all(0.0 < x < math.inf for x in a):
         raise ValueError("sequence entries must be positive and finite")
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
-    n_head = a.size if head_count is None else head_count
-    if not 1 <= n_head <= a.size:
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if isinstance(head_count, bool):
+        raise ValueError("head_count must be an integer, not a bool")
+    n_head = len(a) if head_count is None else head_count
+    if not 1 <= n_head <= len(a):
         raise ValueError("head_count out of range")
-    head = a[:n_head]
 
     def leq(lhs: float, rhs: float) -> bool:
         return lhs <= rhs * (1.0 + rel_tol) + 1e-300
 
-    full_pow = float(np.sum(a ** gamma))
-    full_sum = float(np.sum(a)) ** gamma
-    head_pow = float(np.sum(head ** gamma))
-    head_sum = n_head ** (1.0 - gamma) * float(np.sum(head)) ** gamma
+    try:
+        powers = [x ** gamma for x in a]
+        full_pow = math.fsum(powers)
+        full_sum = math.fsum(a) ** gamma
+        head_pow = math.fsum(powers[:n_head])
+        head_sum = n_head ** (1.0 - gamma) * math.fsum(a[:n_head]) ** gamma
+    except OverflowError as exc:
+        raise ValueError(f"power sums overflow a double: {exc}") from exc
 
     if gamma >= 1.0:
         return PowerSumReport(

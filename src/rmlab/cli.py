@@ -93,7 +93,7 @@ def _apply_config(
 
     Each applied value is parsed again as the command-line text of its
     flag, so it passes the flag's own type and choices.  Only numbers and
-    strings have such a text.
+    strings have such a text.  Probes are named on the command line only.
     """
     if getattr(args, "config", None) is None:
         return args
@@ -108,6 +108,8 @@ def _apply_config(
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             parser.error(f"config: unknown field {key!r}")
+        if attr == "probes":
+            parser.error("config: probes are named on the command line, not in a config file")
         if getattr(args, attr) is None:
             if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 parser.error(f"config: field {key!r} needs a number or a string, got {json.dumps(value)}")

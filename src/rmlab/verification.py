@@ -106,12 +106,14 @@ def random_step_function(
 ) -> StepFunction:
     """Disjoint random supports placed on a jittered coarse lattice."""
     count = int(rng.integers(1, max_pieces + 1))
-    cells = rng.choice(16 ** dim if dim == 1 else 6 ** dim, size=count, replace=False)
-    pieces = []
     base = 16 if dim == 1 else 6
+    cells = rng.choice(base ** dim, size=count, replace=False)
+    pieces = []
     cell_w = span / base
-    for c in cells:
-        idx = np.unravel_index(int(c), (base,) * dim)
+    for c in cells.tolist():
+        idx = [0] * dim  # the C-order lattice index of cell c
+        for j in range(dim - 1, -1, -1):
+            c, idx[j] = divmod(c, base)
         side = cell_w * float(rng.uniform(0.2, 0.95))
         lo = tuple(
             -0.5 * span + idx[j] * cell_w + float(rng.uniform(0.0, cell_w - side))

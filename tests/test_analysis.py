@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmlab.analysis import (
+    PowerSumReport,
     check_embedding,
     check_holder_cube,
     check_power_sum_inequalities,
@@ -47,6 +51,55 @@ class TestPowerSums:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             check_power_sum_inequalities((1.0, 0.0), 2.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.5])
+    def test_rejects_gamma_not_finite_and_nonnegative(self, gamma):
+        with pytest.raises(ValueError):
+            check_power_sum_inequalities((1.0, 2.0), gamma)
+
+    @pytest.mark.parametrize("head", [True, False])
+    def test_rejects_bool_head_count(self, head):
+        with pytest.raises(ValueError):
+            check_power_sum_inequalities((1.0, 2.0), 2.0, head)
+
+    def test_overflow_is_an_input_error(self):
+        with pytest.raises(ValueError):
+            check_power_sum_inequalities((1e300, 1e300), 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # constant sequences are the equality cases, where rounding decides
+        seq=st.one_of(
+            st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=30),
+            st.builds(lambda c, n: [c] * n, st.floats(1e-6, 1e6), st.integers(1, 30)),
+        ),
+        gamma=st.floats(0.0, 4.0),
+        head=st.integers(1, 30),
+    )
+    @example(seq=[0.1] * 6, gamma=0.5, head=6)
+    @example(seq=[0.1] * 7, gamma=2.5, head=7)
+    def test_sums_are_exactly_rounded(self, seq, gamma, head):
+        head = min(head, len(seq))
+        powers = [x ** gamma for x in seq]
+
+        def exact(xs):
+            return float(sum(Fraction(x) for x in xs))
+
+        full_pow, head_pow = exact(powers), exact(powers[:head])
+        full_sum = exact(seq) ** gamma
+        head_sum = head ** (1.0 - gamma) * exact(seq[:head]) ** gamma
+
+        def leq(lhs, rhs):
+            return lhs <= rhs + 1e-300
+
+        upper, lower = gamma >= 1.0, gamma <= 1.0
+        expected = PowerSumReport(
+            full_upper=leq(full_pow, full_sum) if upper else None,
+            head_upper=leq(head_pow, head_sum) if lower else None,
+            full_lower=leq(full_sum, full_pow) if lower else None,
+            head_lower=leq(head_sum, head_pow) if upper else None,
+        )
+        assert check_power_sum_inequalities(np.array(seq), gamma, head, rel_tol=0.0) == expected
 
 
 class TestHolderAndEmbedding:

@@ -249,6 +249,16 @@ class TestVerifyCommand:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_verdict_values_stay_pinned(self, tmp_path, capsys):
+        code, _ = run_cli(["verify", "inequalities", "embedding", "lem1e", "-o", str(tmp_path)], capsys)
+        assert code == 0
+        details = {name: json.loads((tmp_path / f"{name}.json").read_text())["details"]
+                   for name in ("inequalities", "embedding", "lem1e")}
+        assert repr(details["inequalities"]["max_equality_err"]) == "4.268823137083259e-16"
+        assert details["inequalities"]["violations"] == 0
+        assert repr(details["embedding"]["worst_margin"]) == "-0.001723126087797424"
+        assert repr(details["lem1e"]["fitted_rate"]) == "0.43609257765888493"
+
     def test_unapplied_parameter_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "prop-q", "--p", "3"])
@@ -305,6 +315,14 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--config", str(cfg)])
         assert exc.value.code == 2
+
+    def test_probes_field_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probes": ["classify-sweep"]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "probes are named on the command line" in capsys.readouterr().err
 
     def test_json_numbers_pass_through_flag_types(self, tmp_path, capsys):
         fn = tmp_path / "f.json"

@@ -12,6 +12,8 @@ from rmlab.funcrep import (
     ParamSpace,
     RadialPower,
     StepFunction,
+    _cube_masses,
+    _overlap_widths,
     distribution_measure,
     evaluate,
     lebesgue_norm,
@@ -20,8 +22,9 @@ from rmlab.funcrep import (
     shell_integral_radial,
     weak_norm,
 )
-from rmlab.geometry import Cube, Domain
-from rmlab.constructions import sparse_function
+from rmlab.geometry import Cube, DimensionMismatchError, Domain
+from rmlab.constructions import build_tree, sparse_function, tree_function
+from rmlab.verification import random_dyadic_partition, random_step_function
 
 
 def two_step():
@@ -119,6 +122,48 @@ class TestLqNormOnCube:
         mc = np.mean([evaluate(f, (float(x),)) ** q for x in pts[:20_000]]) * 0.6
         exact = lq_norm_on_cube(f, cube, q) ** q
         assert exact == pytest.approx(mc, rel=2e-2)
+
+
+def per_cube_mass(f, cube, q):
+    """One cube's mass as a mask and np.sum over its pieces: the batched kernel's reference."""
+    lows, sides, heights = f._arrays
+    w = _overlap_widths(lows, sides[:, None], np.array(cube.lower)[None, :], cube.side)
+    vols = np.prod(w, axis=1)
+    mask = (vols > 0.0) & (heights > 0.0)
+    if not np.any(mask):
+        return 0.0
+    if math.isinf(q):
+        return float(np.max(heights[mask]))
+    return float(np.sum(heights[mask] ** q * vols[mask]))
+
+
+class TestCubeMasses:
+    @pytest.mark.parametrize("q", [1.0, 1.7, 3.0, math.inf])
+    def test_equal_to_per_cube_sums(self, q):
+        # a tree root meets all 8191 pieces (np.sum adds them pairwise), other
+        # cubes meet a few; m * 8191 pairs span several chunks
+        tree = build_tree(1, 12, ParamSpace(2.0, 1.0, -0.25))
+        f = tree_function(tree)
+        rng = np.random.default_rng(4)
+        root = tree.domain
+        cubes = [root, *(Cube((float(rng.uniform(-1.4, 1.2)),), float(rng.uniform(1e-4, 0.3))) for _ in range(40))]
+        masses = _cube_masses(f, np.array([c.lower for c in cubes]), np.array([c.side for c in cubes]), q)
+        assert masses.tolist() == [per_cube_mass(f, c, q) for c in cubes]
+
+    def test_equal_to_per_cube_sums_in_two_dims(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            f = random_step_function(rng, 2)
+            cubes = list(random_dyadic_partition(rng, Cube((-4.0, -4.0), 8.0), max_depth=3))
+            q = float(rng.uniform(1.0, 4.0))
+            masses = _cube_masses(f, np.array([c.lower for c in cubes]), np.array([c.side for c in cubes]), q)
+            assert masses.tolist() == [per_cube_mass(f, c, q) for c in cubes]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            _cube_masses(two_step(), np.zeros((1, 2)), np.ones(1), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            _cube_masses(RadialPower(-0.5, 2), np.zeros((1, 1)), np.ones(1), 1.0)
 
 
 class TestLebesgueNorm:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -122,6 +123,80 @@ class TestRmScore:
             low = rm_score(f, cells, ParamSpace(p, q, alpha), check=False)
             high = rm_score(f, cells, ParamSpace(p, beta, alpha), check=False)
             assert low <= high * (1.0 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        kind=st.sampled_from(("step-1d", "step-2d", "radial-2d")),
+        sup=st.booleans(),
+    )
+    def test_equals_family_order_sum_of_cube_norms(self, seed, kind, sup):
+        rng = np.random.default_rng(seed)
+        params = random_intermediate_params(rng)
+        if sup:
+            params = ParamSpace(params.p, math.inf, params.alpha)
+        if kind == "radial-2d":
+            f = RadialPower.from_params(params, 2)
+            # the sup of a negative power is infinite on a cube at the origin
+            root = Cube((0.125, 0.125) if sup else (0.0, 0.0), 1.0)
+        else:
+            dim = 1 if kind == "step-1d" else 2
+            f = random_step_function(rng, dim)
+            root = Cube((-4.0,) * dim, 8.0)
+        family = random_dyadic_partition(rng, root, max_depth=3)
+        e = params.score_exponent
+        expected = 0.0
+        for c in family:
+            norm_q = lq_norm_on_cube(f, c, params.q)
+            if norm_q > 0.0:
+                expected += c.volume ** e * norm_q ** params.p
+        assert rm_score(f, family, params, check=False) == pytest.approx(expected, rel=1e-13)
+
+    def test_large_family_masses_stay_in_bounded_memory(self):
+        # 4096 cells against the 8191 pieces of the depth-12 tree: 3.4e7
+        # (cube, piece) pairs, about 1.3 GB if their overlaps were formed at once
+        tree = build_tree(1, 12, ParamSpace(2.0, 1.0, -0.25))
+        f = tree_function(tree)
+        root = tree.domain
+        w = root.side / 4096
+        family = [Cube((root.lower[0] + w * i,), w) for i in range(4096)]
+        tracemalloc.start()
+        try:
+            # score exponent 0 at (1, 1, 0): the score is the integral of f
+            score = rm_score(f, family, ParamSpace(1.0, 1.0, 0.0), check=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert score == pytest.approx(math.fsum(h * c.volume for c, h in f.pieces), rel=1e-12)
+
+
+def unravel_step_function(rng, dim, max_pieces=12, span=8.0):
+    """random_step_function with np.unravel_index lattice indices: the test reference."""
+    count = int(rng.integers(1, max_pieces + 1))
+    cells = rng.choice(16 ** dim if dim == 1 else 6 ** dim, size=count, replace=False)
+    pieces = []
+    base = 16 if dim == 1 else 6
+    cell_w = span / base
+    for c in cells:
+        idx = np.unravel_index(int(c), (base,) * dim)
+        side = cell_w * float(rng.uniform(0.2, 0.95))
+        lo = tuple(
+            -0.5 * span + idx[j] * cell_w + float(rng.uniform(0.0, cell_w - side))
+            for j in range(dim)
+        )
+        pieces.append((Cube(lo, side), float(rng.uniform(0.05, 4.0))))
+    return StepFunction(tuple(pieces))
+
+
+class TestRandomStepFunction:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 23, 2024])
+    def test_same_pieces_and_draws_as_unravel_index(self, dim, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert random_step_function(rng, dim).pieces == unravel_step_function(ref, dim).pieces
+        assert rng.random() == ref.random()
 
 
 class TestCoarsen:
