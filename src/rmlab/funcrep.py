@@ -220,68 +220,40 @@ def evaluate(f: FunctionLike, x: Sequence[float]) -> float:
 def _overlap_widths(lo_a, side_a, lo_b, side_b) -> np.ndarray:
     """Widths of [lo_a, lo_a+side_a] meet [lo_b, lo_b+side_b], elementwise, floored at 0.
 
+    With d = lo_b - lo_a the width is (d + side_b) capped by side_a when
+    d <= 0, and (side_a - d) capped by side_b when d > 0; the other case's
+    term is then no smaller than its side, so one min of all four is both.
     Each side stays an explicit term (as in geometry's overlap), so pieces
     far smaller than the ulp of their position are not absorbed.
     """
-    w = np.where(
-        lo_a >= lo_b,
-        np.minimum(side_a, (lo_b - lo_a) + side_b),
-        np.minimum(side_b, (lo_a - lo_b) + side_a),
-    )
-    return np.maximum(w, 0.0)
+    d = lo_b - lo_a
+    return np.maximum(np.minimum(np.minimum(side_a, side_b), np.minimum(d + side_b, side_a - d)), 0.0)
 
 
 def lq_norm_on_cube(f: FunctionLike, cube: Cube, q: float) -> float:
     """L^q norm over one cube: exact for step functions, quadrature for radial powers."""
     if q < 1.0:
         raise ValueError(f"q must be >= 1 (or inf), got {q}")
-    mass = float(_cube_masses(f, np.array([cube.lower]), np.array([cube.side]), q)[0])
-    return mass if math.isinf(q) else mass ** (1.0 / q)
-
-
-# (cube, piece) pairs whose overlaps _cube_masses forms in one array pass
-_PAIR_CHUNK = 1 << 16
-
-
-def _cube_masses(f: FunctionLike, lows: np.ndarray, sides: np.ndarray, q: float) -> np.ndarray:
-    """Integral of |f|**q (sup of |f| for q = inf) over each cube [lows_i, lows_i + sides_i].
-
-    `lows` has shape (m, n) and `sides` shape (m,).  Step functions form
-    the overlap of every (cube, piece) pair, at most _PAIR_CHUNK pairs at a
-    time.  The nonzero terms of a cube are added in piece order exactly as
-    np.sum of that cube alone adds them: the cubes with k terms are summed
-    as the rows of one (cubes, k) array.  Radial powers send every cube
-    through one quadrature batch.
-    """
-    m, n = lows.shape
-    if isinstance(f, RadialPower):
-        if f.dim != n:
+    if isinstance(f, StepFunction):
+        if not f.pieces:
+            return 0.0
+        if f.dim != cube.dim:
             raise DimensionMismatchError("cube dim != function dim")
-        return _radial_cell_values(f, lows, sides[:, None], q)
-    if not isinstance(f, StepFunction):
-        raise TypeError(f"cannot integrate {type(f).__name__}")
-    if not f.pieces:
-        return np.zeros(m)
-    if f.dim != n:
-        raise DimensionMismatchError("cube dim != function dim")
-    p_lows, p_sides, heights = f._arrays
-    count = len(heights)
-    hits = []
-    for start in range(0, m * count, _PAIR_CHUNK):
-        cube, piece = np.divmod(np.arange(start, min(start + _PAIR_CHUNK, m * count)), count)
-        w = _overlap_widths(p_lows[piece], p_sides[piece][:, None], lows[cube], sides[cube][:, None])
-        vol = np.multiply.reduce(w, axis=1)
-        hit = (vol > 0.0) & (heights[piece] > 0.0)
-        hits.append((cube[hit], piece[hit], vol[hit]))
-    cube, piece, vol = (np.concatenate(part) for part in zip(*hits))
-    terms = heights[piece] if math.isinf(q) else heights[piece] ** q * vol
-    combine = np.maximum if math.isinf(q) else np.add
-    per_cube = np.bincount(cube, minlength=m)
-    k_of_term = per_cube[cube]
-    out = np.zeros(m)
-    for k in set(k_of_term.tolist()):
-        out[per_cube == k] = combine.reduce(terms[k_of_term == k].reshape(-1, k), axis=1)
-    return out
+        lows, sides, heights = f._arrays
+        w = _overlap_widths(lows, sides[:, None], np.array(cube.lower), cube.side)
+        vols = np.multiply.reduce(w, axis=1)
+        mask = (vols > 0.0) & (heights > 0.0)
+        if not mask.any():
+            return 0.0
+        if math.isinf(q):
+            return float(heights[mask].max())
+        return float(np.add.reduce(heights[mask] ** q * vols[mask])) ** (1.0 / q)
+    if isinstance(f, RadialPower):
+        if f.dim != cube.dim:
+            raise DimensionMismatchError("cube dim != function dim")
+        v = float(_radial_cell_values(f, np.array([cube.lower], dtype=float), cube.side, q)[0])
+        return v if math.isinf(q) else v ** (1.0 / q)
+    raise TypeError(f"cannot integrate {type(f).__name__}")
 
 
 def grid_cell_values(
@@ -339,10 +311,9 @@ def grid_cell_values(
     return out.reshape(shape)
 
 
-def _radial_cell_values(f: RadialPower, lows: np.ndarray, side: float | np.ndarray, q: float) -> np.ndarray:
+def _radial_cell_values(f: RadialPower, lows: np.ndarray, side: float, q: float) -> np.ndarray:
     """Integral of |x|**(q*s) (for q = inf, the essential sup of |x|**s) over
-    each cube [lows_i, lows_i + side] intersect the orthant; `side` is one
-    float or an (m, 1) column.
+    each cube [lows_i, lows_i + side] intersect the orthant.
 
     The sup is read off the far corner for s >= 0 and the near corner for
     s < 0 (infinite at the origin); the integrals are one quadrature batch.

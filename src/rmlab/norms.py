@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimate import LOWER_BOUND, NormEstimate
-from .funcrep import FunctionLike, ParamSpace, StepFunction, _cube_masses, grid_cell_values, lq_norm_on_cube
+from .funcrep import FunctionLike, ParamSpace, StepFunction, grid_cell_values, lq_norm_on_cube
 from .geometry import Cube, CubeFamily, Domain, dyadic_children, interiors_pairwise_disjoint
 
 __all__ = [
@@ -52,10 +52,8 @@ def rm_score(
 ) -> float:
     """Exact family score sum_i |Q_i|**(1-p*alpha-p/q) * ||f||_{L^q(Q_i)}**p.
 
-    The cube masses come from one batch; the terms are added in family
-    order, and zero-mass cubes contribute zero regardless of the volume
-    exponent.  Raises if the family has overlapping interiors or leaves
-    the domain.
+    Zero-mass cubes contribute zero regardless of the volume exponent.
+    Raises if the family has overlapping interiors or leaves the domain.
     """
     if math.isinf(params.p):
         raise ValueError("family scores need finite p; use the single-cube norm for p = inf")
@@ -66,15 +64,12 @@ def rm_score(
         for c in cubes:
             if not domain.contains_cube(c):
                 raise ValueError(f"cube {c} is not inside the domain")
-    if not cubes:
-        return 0.0
-    masses = _cube_masses(f, np.array([c.lower for c in cubes]), np.array([c.side for c in cubes]), params.q)
     e = params.score_exponent
-    to_norm = 1.0 if math.isinf(params.q) else 1.0 / params.q  # mass ** to_norm = ||f||_{L^q(Q)}
     total = 0.0
-    for c, mass in zip(cubes, masses.tolist()):
-        if mass > 0.0:
-            total += c.volume ** e * (mass ** to_norm) ** params.p
+    for c in cubes:
+        norm_q = lq_norm_on_cube(f, c, params.q)
+        if norm_q > 0.0:
+            total += c.volume ** e * norm_q ** params.p
     return total
 
 

@@ -12,7 +12,6 @@ from rmlab.funcrep import (
     ParamSpace,
     RadialPower,
     StepFunction,
-    _cube_masses,
     _overlap_widths,
     distribution_measure,
     evaluate,
@@ -22,9 +21,8 @@ from rmlab.funcrep import (
     shell_integral_radial,
     weak_norm,
 )
-from rmlab.geometry import Cube, DimensionMismatchError, Domain
-from rmlab.constructions import build_tree, sparse_function, tree_function
-from rmlab.verification import random_dyadic_partition, random_step_function
+from rmlab.geometry import Cube, Domain
+from rmlab.constructions import sparse_function
 
 
 def two_step():
@@ -124,46 +122,26 @@ class TestLqNormOnCube:
         assert exact == pytest.approx(mc, rel=2e-2)
 
 
-def per_cube_mass(f, cube, q):
-    """One cube's mass as a mask and np.sum over its pieces: the batched kernel's reference."""
-    lows, sides, heights = f._arrays
-    w = _overlap_widths(lows, sides[:, None], np.array(cube.lower)[None, :], cube.side)
-    vols = np.prod(w, axis=1)
-    mask = (vols > 0.0) & (heights > 0.0)
-    if not np.any(mask):
-        return 0.0
-    if math.isinf(q):
-        return float(np.max(heights[mask]))
-    return float(np.sum(heights[mask] ** q * vols[mask]))
+def branch_overlap_width(lo_a, side_a, lo_b, side_b):
+    """The overlap width by cases on which interval starts first: the test reference."""
+    if lo_a >= lo_b:
+        return max(min(side_a, (lo_b - lo_a) + side_b), 0.0)
+    return max(min(side_b, (lo_a - lo_b) + side_a), 0.0)
 
 
-class TestCubeMasses:
-    @pytest.mark.parametrize("q", [1.0, 1.7, 3.0, math.inf])
-    def test_equal_to_per_cube_sums(self, q):
-        # a tree root meets all 8191 pieces (np.sum adds them pairwise), other
-        # cubes meet a few; m * 8191 pairs span several chunks
-        tree = build_tree(1, 12, ParamSpace(2.0, 1.0, -0.25))
-        f = tree_function(tree)
-        rng = np.random.default_rng(4)
-        root = tree.domain
-        cubes = [root, *(Cube((float(rng.uniform(-1.4, 1.2)),), float(rng.uniform(1e-4, 0.3))) for _ in range(40))]
-        masses = _cube_masses(f, np.array([c.lower for c in cubes]), np.array([c.side for c in cubes]), q)
-        assert masses.tolist() == [per_cube_mass(f, c, q) for c in cubes]
+lows_st = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, 1.0, 1.0 + 2 ** -52, -3.0])
+sides_st = st.floats(1e-300, 1e6) | st.sampled_from([2 ** -60, 2 ** -52, 1.0, 3.0])
 
-    def test_equal_to_per_cube_sums_in_two_dims(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            f = random_step_function(rng, 2)
-            cubes = list(random_dyadic_partition(rng, Cube((-4.0, -4.0), 8.0), max_depth=3))
-            q = float(rng.uniform(1.0, 4.0))
-            masses = _cube_masses(f, np.array([c.lower for c in cubes]), np.array([c.side for c in cubes]), q)
-            assert masses.tolist() == [per_cube_mass(f, c, q) for c in cubes]
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            _cube_masses(two_step(), np.zeros((1, 2)), np.ones(1), 1.0)
-        with pytest.raises(DimensionMismatchError):
-            _cube_masses(RadialPower(-0.5, 2), np.zeros((1, 1)), np.ones(1), 1.0)
+class TestOverlapWidths:
+    @settings(max_examples=300, deadline=None)
+    @given(lo_a=lows_st, side_a=sides_st, lo_b=lows_st, side_b=sides_st)
+    def test_bit_equal_to_the_case_split(self, lo_a, side_a, lo_b, side_b):
+        got = float(_overlap_widths(np.float64(lo_a), np.float64(side_a), np.float64(lo_b), np.float64(side_b)))
+        assert struct.pack("<d", got) == struct.pack("<d", branch_overlap_width(lo_a, side_a, lo_b, side_b))
+
+    def test_sub_ulp_piece_keeps_its_width(self):
+        assert float(_overlap_widths(np.float64(1.0), np.float64(2 ** -60), np.float64(0.0), np.float64(2.0))) == 2 ** -60
 
 
 class TestLebesgueNorm:
