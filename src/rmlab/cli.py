@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,9 @@ def _params_or_exit(args, parser, require=("p", "q", "alpha")) -> ParamSpace:
 # ---------------------------------------------------------------------------
 
 def _cmd_construct(args, parser) -> int:
+    # --n defaults to None so that a config file can set it
+    if args.n is None:
+        args.n = 1
     name = args.construction
     meta: dict = {"construction": name, "config": _resolved_config(args)}
     function_doc: dict | None = None
@@ -288,19 +293,16 @@ def _cmd_classify(args, parser) -> int:
     return 0
 
 
-def _probe_kwargs(name: str, args) -> dict:
-    kwargs: dict = {}
-    if args.seed is not None and name in (
-        "riesz-identity", "q23-identity", "embedding", "oracle-equivalence", "inequalities"
-    ):
-        kwargs["seed"] = args.seed
-    if args.K is not None and name == "lem1e":
-        kwargs["shell_count"] = args.K
-    if args.depth is not None and name == "prop-q":
-        kwargs["depth"] = args.depth
-    if args.grid is not None and name == "q23-identity":
-        kwargs["grid_cells"] = args.grid
-    return kwargs
+def _probe_kwargs(probe, args) -> dict:
+    """The set flags that the probe takes: its parameters are named after flag dests."""
+    params = inspect.signature(probe).parameters
+    return {key: value for key, value in vars(args).items() if key in params and value is not None}
+
+
+def _verdict(name: str, res, config: dict) -> dict:
+    # wall time is reported on stderr, never in the verdict, so that
+    # identical config and seed give byte-identical JSON
+    return {"probe": name, "pass": res.passed, "details": res.details, "config": config}
 
 
 def _cmd_verify(args, parser) -> int:
@@ -308,41 +310,43 @@ def _cmd_verify(args, parser) -> int:
     for name in names:
         if name not in PROBES:
             parser.error(f"unknown probe {name!r}; available: {', '.join(sorted(PROBES))}")
-    results = []
+    runs = []
     for name in names:
+        probe = PROBES[name]
+        t0 = time.perf_counter()
         try:
-            results.append(PROBES[name](**_probe_kwargs(name, args)))
+            res = probe(**_probe_kwargs(probe, args))
         except ValueError as exc:
             parser.error(f"{name}: {exc}")
-    results.sort(key=lambda r: r.name)
+        runs.append((name, res, time.perf_counter() - t0))
+    runs.sort(key=lambda run: run[0])
 
     verdicts = []
-    for res in results:
-        doc = res.as_dict()
-        doc["config"] = {**_resolved_config(args), "probe": res.name}
+    for name, res, _ in runs:
+        doc = _verdict(name, res, {**_resolved_config(args), "probe": name})
         verdicts.append(doc)
         if args.output is not None:
             outdir = Path(args.output)
             outdir.mkdir(parents=True, exist_ok=True)
-            _write_output(canonical_json(doc), str(outdir / f"{res.name}.json"))
+            _write_output(canonical_json(doc), str(outdir / f"{name}.json"))
             if res.trace_rows:
-                _write_csv(res.trace_rows, str(outdir / f"{res.name}.csv"))
-    summary = {"probes": verdicts, "all_pass": all(r.passed for r in results)}
+                _write_csv(res.trace_rows, str(outdir / f"{name}.csv"))
+    all_pass = all(res.passed for _, res, _ in runs)
+    summary = {"probes": verdicts, "all_pass": all_pass}
     if args.output is None:
         _write_output(canonical_json(summary), None)
     else:
         _write_output(canonical_json(summary), str(Path(args.output) / "summary.json"))
-    for res in results:
-        sys.stderr.write(f"{res.name}: {'PASS' if res.passed else 'FAIL'} ({res.elapsed_s:.2f}s)\n")
-    return 0 if all(r.passed for r in results) else 1
+    for name, res, elapsed_s in runs:
+        sys.stderr.write(f"{name}: {'PASS' if res.passed else 'FAIL'} ({elapsed_s:.2f}s)\n")
+    return 0 if all_pass else 1
 
 
 def _cmd_sweep(args, parser) -> int:
     res = PROBES["classify-sweep"]()
     if args.output is not None and args.output != "-":
         _write_csv(res.trace_rows, args.output)
-    doc = res.as_dict()
-    doc["config"] = _resolved_config(args)
+    doc = _verdict("classify-sweep", res, _resolved_config(args))
     if args.json is not None:
         _write_output(canonical_json(doc), args.json)
     elif args.output in (None, "-"):
@@ -361,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     construct = subs.add_parser("construct", help="emit a constructed function as JSON")
     construct.add_argument("construction", choices=("sparse", "tree", "shells", "power-split"))
     _add_param_flags(construct)
-    construct.add_argument("--n", type=int, default=1)
+    construct.add_argument("--n", type=int, default=None)
     construct.add_argument("--L", type=int, default=None, help="sparse truncation length")
     construct.add_argument("--depth", type=int, default=None)
     construct.add_argument("--K", type=int, default=None, help="shell count")

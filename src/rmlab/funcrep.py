@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .estimate import EXACT, NormEstimate
-from .geometry import Cube, Domain, DimensionMismatchError, interiors_pairwise_disjoint, overlap_volume
+from .geometry import Cube, Domain, DimensionMismatchError, _overlap_widths, interiors_pairwise_disjoint
 from .quadrature import power_integrals
 
 __all__ = [
@@ -217,19 +217,6 @@ def evaluate(f: FunctionLike, x: Sequence[float]) -> float:
     raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
-def _overlap_widths(lo_a, side_a, lo_b, side_b) -> np.ndarray:
-    """Widths of [lo_a, lo_a+side_a] meet [lo_b, lo_b+side_b], elementwise, floored at 0.
-
-    With d = lo_b - lo_a the width is (d + side_b) capped by side_a when
-    d <= 0, and (side_a - d) capped by side_b when d > 0; the other case's
-    term is then no smaller than its side, so one min of all four is both.
-    Each side stays an explicit term (as in geometry's overlap), so pieces
-    far smaller than the ulp of their position are not absorbed.
-    """
-    d = lo_b - lo_a
-    return np.maximum(np.minimum(np.minimum(side_a, side_b), np.minimum(d + side_b, side_a - d)), 0.0)
-
-
 def lq_norm_on_cube(f: FunctionLike, cube: Cube, q: float) -> float:
     """L^q norm over one cube: exact for step functions, quadrature for radial powers."""
     if q < 1.0:
@@ -337,15 +324,14 @@ def lebesgue_norm(f: FunctionLike, domain: Domain, theta: float) -> NormEstimate
             return NormEstimate(0.0, EXACT, certificate="empty-function", trace=((0, 0.0),))
         if f.dim != domain.dim:
             raise DimensionMismatchError("domain dim != function dim")
-        live = []
-        for piece, h in f.pieces:
-            if domain.kind == "whole-space":
-                vol = piece.volume
-            else:
-                assert domain.cube is not None
-                vol = overlap_volume(piece, domain.cube)
-            if vol > 0.0 and h > 0.0:
-                live.append((h, vol))
+        if domain.kind == "whole-space":
+            vols = [piece.volume for piece, _ in f.pieces]
+        else:
+            assert domain.cube is not None
+            lows, sides, _ = f._arrays
+            w = _overlap_widths(lows, sides[:, None], np.array(domain.cube.lower), domain.cube.side)
+            vols = np.multiply.reduce(w, axis=1).tolist()
+        live = [(h, vol) for (_, h), vol in zip(f.pieces, vols) if vol > 0.0 and h > 0.0]
         hmax = max((h for h, _ in live), default=0.0)
         if math.isinf(theta):
             return NormEstimate(hmax, EXACT, certificate="piecewise-max", trace=((len(f), hmax),))

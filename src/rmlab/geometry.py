@@ -172,14 +172,9 @@ def interiors_disjoint(a: Cube, b: Cube) -> bool:
 
     Overlaps within a few ulps of the coordinate scale are treated as
     shared faces, so grid cells built from edge arithmetic test disjoint.
+    This is :func:`interiors_pairwise_disjoint` on the pair.
     """
-    _require_same_dim(a, b)
-    for lo_a, lo_b in zip(a.lower, b.lower):
-        lo = max(lo_a, lo_b)
-        hi = min(lo_a + a.side, lo_b + b.side)
-        if hi - lo <= _FACE_SLACK * max(abs(lo), abs(hi)):
-            return True
-    return False
+    return interiors_pairwise_disjoint((a, b))
 
 
 def box_distance(a: Cube, b: Cube) -> float:
@@ -192,28 +187,23 @@ def box_distance(a: Cube, b: Cube) -> float:
     return math.sqrt(acc)
 
 
-def _axis_overlap(lo_a: float, side_a: float, lo_b: float, side_b: float) -> float:
-    """Overlap width of [lo_a, lo_a+side_a] and [lo_b, lo_b+side_b].
+def _overlap_widths(lo_a, side_a, lo_b, side_b) -> np.ndarray:
+    """Widths of [lo_a, lo_a+side_a] meet [lo_b, lo_b+side_b], elementwise, floored at 0.
 
-    Arranged so that a side much smaller than the ulp of its position is
-    never absorbed: min(lo+side, ...) - max(lo, ...) is rewritten to keep
-    each small side as an explicit term.
+    With d = lo_b - lo_a the width is (d + side_b) capped by side_a when
+    d <= 0, and (side_a - d) capped by side_b when d > 0; the other case's
+    term is then no smaller than its side, so one min of all four is both.
+    Each side stays an explicit term, never min(lo+side, ...) - max(lo, ...),
+    so sides far smaller than the ulp of their position are not absorbed.
     """
-    if lo_a >= lo_b:
-        return min(side_a, (lo_b - lo_a) + side_b)
-    return min(side_b, (lo_a - lo_b) + side_a)
+    d = lo_b - lo_a
+    return np.maximum(np.minimum(np.minimum(side_a, side_b), np.minimum(d + side_b, side_a - d)), 0.0)
 
 
 def overlap_volume(a: Cube, b: Cube) -> float:
     """Volume of the (closed) intersection box."""
     _require_same_dim(a, b)
-    vol = 1.0
-    for lo_a, lo_b in zip(a.lower, b.lower):
-        w = _axis_overlap(lo_a, a.side, lo_b, b.side)
-        if w <= 0.0:
-            return 0.0
-        vol *= w
-    return vol
+    return math.prod(_overlap_widths(np.array(a.lower), a.side, np.array(b.lower), b.side).tolist())
 
 
 def dyadic_children(c: Cube) -> CubeFamily:
@@ -268,8 +258,9 @@ def interiors_pairwise_disjoint(cubes: Sequence[Cube] | CubeFamily) -> bool:
 
     Once the cubes are sorted by lower[0], a cube can only overlap the
     later cubes whose lower[0] lies below its upper[0], so the per-axis
-    slack test of :func:`interiors_disjoint` runs on those candidate
-    pairs alone, at most `_SWEEP_BATCH` pairs at a time.
+    slack test runs on those candidate pairs alone, at most `_SWEEP_BATCH`
+    pairs at a time.  Per axis, an overlap within `_FACE_SLACK` of the
+    coordinate scale counts as a shared face.
     """
     seq = tuple(cubes)
     m = len(seq)

@@ -326,7 +326,8 @@ def morrey_norm_estimate(
                 lows = np.min(np.array([c.lower for c in group]), axis=0)
                 highs = np.max(np.array([c.upper for c in group]), axis=0)
                 side = float(np.max(highs - lows))
-                candidates.append(Cube(tuple(lows), side))
+                if side > 0.0:  # a run of supports below the ulp of its position rounds to 0
+                    candidates.append(Cube(tuple(lows), side))
 
     if domain.kind == "cube":
         candidates = [c for c in candidates if domain.contains_cube(c)]

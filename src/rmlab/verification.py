@@ -2,16 +2,18 @@
 
 Each probe builds its own oracle data, runs one claim of the toolkit at a
 fixed tolerance, and returns a ProbeResult with machine-readable details.
-The CLI `verify` subcommand and the acceptance test suite both dispatch
-into this module, so there is a single source of truth for every check.
+`PROBES` is the one registry: it names every probe, and each probe takes
+only the settings that a `rmlab verify` flag sets, under the flag's
+argparse dest (`seed`, `K`, `depth`, `grid`); every other setting is a
+constant of the probe.  The CLI names, times and writes each verdict, and
+the acceptance suite calls each probe with its defaults.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .series import harmonic_number
 __all__ = [
     "ProbeResult",
     "PROBES",
-    "run_probe",
     "verify_riesz_identity",
     "verify_singleton_regime",
     "verify_shell_divergence",
@@ -53,24 +54,13 @@ __all__ = [
 
 @dataclass
 class ProbeResult:
-    name: str
     passed: bool
     details: dict
     trace_rows: list[dict] = field(default_factory=list)
-    elapsed_s: float = 0.0
 
     def __post_init__(self) -> None:
         # numpy comparisons produce np.bool_, which JSON rejects
         self.passed = bool(self.passed)
-
-    def as_dict(self) -> dict:
-        # wall time is reported on stderr, never in the verdict, so that
-        # identical config and seed give byte-identical JSON
-        return {
-            "probe": self.name,
-            "pass": self.passed,
-            "details": self.details,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +141,9 @@ def random_intermediate_params(rng: np.random.Generator) -> ParamSpace:
 # probes
 # ---------------------------------------------------------------------------
 
-def verify_riesz_identity(
-    seed: int = 7,
-    count: int = 100,
-    exponents: Sequence[float] = (1.5, 2.0, 3.0),
-    max_depth: int = 6,
-    tol: float = 1e-9,
-) -> ProbeResult:
+def verify_riesz_identity(seed: int = 7) -> ProbeResult:
     """Partition norm at (p, 1, 0) equals the L^p norm for dyadic step functions."""
-    t0 = time.perf_counter()
+    count, exponents, max_depth, tol = 100, (1.5, 2.0, 3.0), 6, 1e-9
     rng = np.random.default_rng(seed)
     root = Cube((0.0,), 1.0)
     worst = 0.0
@@ -174,78 +158,58 @@ def verify_riesz_identity(
             worst = max(worst, rel)
             rows.append({"case": i, "p": p, "depth": depth, "lp": lp, "partition": rp, "rel_err": rel})
     return ProbeResult(
-        "riesz-identity",
         worst <= tol,
         {"max_rel_err": worst, "tolerance": tol, "cases": count, "exponents": list(exponents), "seed": seed},
         rows,
-        time.perf_counter() - t0,
     )
 
 
-def verify_singleton_regime(
-    seed: int = 11,
-    param_triples: Sequence[tuple[float, float, float]] = ((2.0, 1.0, -0.6), (3.0, 2.0, -0.2), (3.0, 2.0, 1.0 / 3.0 - 0.5)),
-    count: int = 12,
-    grid_cells: int = 10,
-    tol: float = 1e-9,
-) -> ProbeResult:
+def verify_singleton_regime(seed: int = 11, grid: int = 10) -> ProbeResult:
     """With q <= p and alpha <= 1/p - 1/q the whole cube is the optimal family.
 
     The exact optimum over grid-interval families (the interval DP)
     confirms that no such family beats the singleton and that it equals
-    |Q0|**(1-p*alpha-p/q) ||f||_{L^q(Q0)}**p.
+    |Q0|**(1-p*alpha-p/q) ||f||_{L^q(Q0)}**p, on `grid` cells.
     """
-    t0 = time.perf_counter()
+    # each (p, q, alpha) has q <= p and -1/q < alpha <= 1/p - 1/q; the last on the boundary
+    param_triples = ((2.0, 1.0, -0.6), (3.0, 2.0, -0.2), (3.0, 2.0, 1.0 / 3.0 - 0.5))
+    count, tol = 12, 1e-9
     rng = np.random.default_rng(seed)
     root = Cube((0.0,), 1.0)
     worst = 0.0
     exceeded = 0.0
     for (p, q, alpha) in param_triples:
-        split = 1.0 / p - 1.0 / q
-        if not (q <= p and -1.0 / q < alpha <= split):
-            raise ValueError(f"triple {(p, q, alpha)} violates the singleton regime")
         params = ParamSpace(p, q, alpha)
         for i in range(count):
             f = random_dyadic_step(rng, root, int(rng.integers(1, 5)))
             singleton = rm_score(f, [root], params)
-            iv = rm_norm_intervals_1d(f, root, grid_cells, params)
+            iv = rm_norm_intervals_1d(f, root, grid, params)
             best = iv.value ** p
             exceeded = max(exceeded, (best - singleton) / max(singleton, 1e-300))
             worst = max(worst, abs(best - singleton) / max(singleton, 1e-300))
     passed = worst <= tol and exceeded <= 1e-12
     return ProbeResult(
-        "q23-identity",
         passed,
         {
             "max_rel_err": worst,
             "max_excess_over_singleton": exceeded,
             "tolerance": tol,
-            "grid_cells": grid_cells,
+            "grid_cells": grid,
             "triples": [list(t) for t in param_triples],
             "seed": seed,
         },
-        [],
-        time.perf_counter() - t0,
     )
 
 
-def verify_shell_divergence(
-    shell_count: int = 200,
-    parts_per_side: int = 1,
-    p: float = 1.0,
-    q: float = 2.0,
-    alpha: float = 0.25,
-    rate_tol: float = 0.10,
-) -> ProbeResult:
-    """Indicator shell scores diverge harmonically at the predicted rate."""
-    t0 = time.perf_counter()
-    res = shell_divergence_probe(shell_count, parts_per_side, p, q, alpha)
+def verify_shell_divergence(K: int = 200) -> ProbeResult:
+    """Indicator scores over K shells diverge harmonically at the predicted rate."""
+    parts_per_side, p, q, alpha, rate_tol = 1, 1.0, 2.0, 0.25, 0.10
+    res = shell_divergence_probe(K, parts_per_side, p, q, alpha)
     rate_ok = abs(res.report.rate / res.expected_rate - 1.0) <= rate_tol
     passed = res.report.fit_class == "logarithmic" and rate_ok
     rows = [{"k": i + 1, "partial_sum": s} for i, s in enumerate(res.partial_sums)]
     bare = (1.0 / res.shells.normalizer) ** (1.0 - p * alpha)
     return ProbeResult(
-        "lem1e",
         passed,
         {
             "fit_class": res.report.fit_class,
@@ -255,23 +219,16 @@ def verify_shell_divergence(
             "equipartition_factor": (2.0 * parts_per_side) ** (p * alpha),
             "rate_tolerance": rate_tol,
             "normalizer": res.shells.normalizer,
-            "shells": shell_count,
+            "shells": K,
         },
         rows,
-        time.perf_counter() - t0,
     )
 
 
-def verify_sparse_function(
-    truncations: Sequence[int] = (10, 100, 1000),
-    p: float = 2.0,
-    q: float = 1.0,
-    alpha: float = -0.25,
-    dp_depth: int = 12,
-    frozen_h1000: float = 7.485470860550343,
-) -> ProbeResult:
+def verify_sparse_function() -> ProbeResult:
     """Sparse whole-space function: critical integral, score bounds, weak norm."""
-    t0 = time.perf_counter()
+    truncations, dp_depth, frozen_h1000 = (10, 100, 1000), 12, 7.485470860550343
+    p, q, alpha = 2.0, 1.0, -0.25
     params = ParamSpace(p, q, alpha)
     theta = params.theta
     dim = 1
@@ -317,18 +274,12 @@ def verify_sparse_function(
     details["weak_norms"] = dict(zip([str(L) for L in truncations], wvals))
 
     details["checks"] = checks
-    return ProbeResult("prop-rn", all(checks.values()), details, rows, time.perf_counter() - t0)
+    return ProbeResult(all(checks.values()), details, rows)
 
 
-def verify_tree_function(
-    depth: int = 12,
-    dim: int = 1,
-    p: float = 2.0,
-    q: float = 1.0,
-    alpha: float = -0.25,
-) -> ProbeResult:
-    """Diagonal tree on a cube: geometry, level masses, score stabilization."""
-    t0 = time.perf_counter()
+def verify_tree_function(depth: int = 12) -> ProbeResult:
+    """Diagonal tree of the given depth on a cube: geometry, level masses, score stabilization."""
+    dim, p, q, alpha = 1, 2.0, 1.0, -0.25
     params = ParamSpace(p, q, alpha)
     tree = build_tree(dim, depth, params)
     f = tree_function(tree)
@@ -381,12 +332,12 @@ def verify_tree_function(
 
     rows = [{"depth": d, "score": s, "bound": bound} for d, s in enumerate(score_by_depth)]
     details["checks"] = checks
-    return ProbeResult("prop-q", all(checks.values()), details, rows, time.perf_counter() - t0)
+    return ProbeResult(all(checks.values()), details, rows)
 
 
-def verify_embedding(seed: int = 23, count: int = 1000, tol: float = 1e-12) -> ProbeResult:
+def verify_embedding(seed: int = 23) -> ProbeResult:
     """Random family scores never exceed the critical Lebesgue norm."""
-    t0 = time.perf_counter()
+    count, tol = 1000, 1e-12
     rng = np.random.default_rng(seed)
     violations = 0
     worst_margin = -math.inf
@@ -404,20 +355,12 @@ def verify_embedding(seed: int = 23, count: int = 1000, tol: float = 1e-12) -> P
         if margin > 0.0:
             violations += 1
     return ProbeResult(
-        "embedding",
         violations == 0,
         {"violations": violations, "cases": count, "worst_margin": worst_margin, "seed": seed},
-        [],
-        time.perf_counter() - t0,
     )
 
 
-def verify_oracle_equivalence(
-    seed: int = 5,
-    count: int = 50,
-    grid_range: Sequence[int] = tuple(range(4, 13)),
-    noise_tol: float = 1e-12,
-) -> ProbeResult:
+def verify_oracle_equivalence(seed: int = 5) -> ProbeResult:
     """Dyadic optimizer and exact interval optimum agree on shared feasible sets.
 
     Exact agreement is asserted where the optimum provably lies in both
@@ -427,7 +370,7 @@ def verify_oracle_equivalence(
     parameters the interval optimum may exceed the dyadic optimizer, so
     only the one-sided bound is required there.
     """
-    t0 = time.perf_counter()
+    count, grid_range, noise_tol = 50, tuple(range(4, 13)), 1e-12
     rng = np.random.default_rng(seed)
     root = Cube((0.0,), 1.0)
     singleton_params = ParamSpace(2.0, 1.0, -0.6)
@@ -469,7 +412,6 @@ def verify_oracle_equivalence(
             worst_one_sided = max(worst_one_sided, dp3.value - iv3.value * (1.0 + noise_tol))
     passed = worst_eq <= noise_tol and worst_one_sided <= 0.0
     return ProbeResult(
-        "oracle-equivalence",
         passed,
         {
             "max_equality_gap": worst_eq,
@@ -478,8 +420,6 @@ def verify_oracle_equivalence(
             "grid_range": list(grid_range),
             "seed": seed,
         },
-        [],
-        time.perf_counter() - t0,
     )
 
 
@@ -516,9 +456,9 @@ def _expected_verdict(p: float, q: float, alpha: float, kind: str) -> str:
     return "EqualsLq" if alpha <= 0.0 else "ZeroSpace"
 
 
-def verify_classifier(min_points: int = 200) -> ProbeResult:
+def verify_classifier() -> ProbeResult:
     """Sweep the parameter grid and compare against the verdict table."""
-    t0 = time.perf_counter()
+    min_points = 200
     ps = [1.0, 1.5, 2.0, 3.0, math.inf]
     qs = [1.0, 2.0, 2.5, 4.0, math.inf]
     mismatches = []
@@ -551,18 +491,12 @@ def verify_classifier(min_points: int = 200) -> ProbeResult:
         and classify(math.inf, 2, -0.25, "cube").verdict == "EqualsMorrey"
     )
     passed = not mismatches and spot and points >= min_points
-    return ProbeResult(
-        "classify-sweep",
-        passed,
-        {"points": points, "mismatches": mismatches, "spot_checks": spot},
-        rows,
-        time.perf_counter() - t0,
-    )
+    return ProbeResult(passed, {"points": points, "mismatches": mismatches, "spot_checks": spot}, rows)
 
 
-def verify_power_sums(seed: int = 3, count: int = 10_000, eq_tol: float = 1e-12) -> ProbeResult:
+def verify_power_sums(seed: int = 3) -> ProbeResult:
     """Power-sum inequalities on random sequences; equality for constants."""
-    t0 = time.perf_counter()
+    count, eq_tol = 10_000, 1e-12
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(count):
@@ -583,11 +517,8 @@ def verify_power_sums(seed: int = 3, count: int = 10_000, eq_tol: float = 1e-12)
             eq_err = max(eq_err, abs(lhs - rhs) / rhs)
     passed = violations == 0 and eq_err <= eq_tol
     return ProbeResult(
-        "inequalities",
         passed,
         {"violations": violations, "cases": count, "max_equality_err": eq_err, "seed": seed},
-        [],
-        time.perf_counter() - t0,
     )
 
 
@@ -602,9 +533,3 @@ PROBES: dict[str, Callable[..., ProbeResult]] = {
     "classify-sweep": verify_classifier,
     "inequalities": verify_power_sums,
 }
-
-
-def run_probe(name: str, **kwargs) -> ProbeResult:
-    if name not in PROBES:
-        raise KeyError(f"unknown probe {name!r}; available: {sorted(PROBES)}")
-    return PROBES[name](**kwargs)

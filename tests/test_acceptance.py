@@ -3,8 +3,11 @@
 Every test prints a single PASS/FAIL line (run pytest with -s or rely on
 the printed output captured on failure).  The criteria exercise the
 public probe layer, so `rmlab verify` reproduces the same checks from the
-command line.
+command line.  Each probe runs with its defaults, the settings `rmlab
+verify` uses when no flag is given.
 """
+
+import time
 
 from rmlab.verification import (
     verify_classifier,
@@ -19,18 +22,20 @@ from rmlab.verification import (
 )
 
 
-def _report(index: int, label: str, result, budget_s: float) -> None:
-    status = "PASS" if result.passed and result.elapsed_s < budget_s else "FAIL"
-    print(f"[{index}/9] {label}: {status} ({result.elapsed_s:.2f}s, budget {budget_s:.0f}s)")
-    assert result.elapsed_s < budget_s, f"runtime {result.elapsed_s:.2f}s over budget {budget_s}s"
+def _report(index: int, label: str, probe, budget_s: float) -> None:
+    t0 = time.perf_counter()
+    result = probe()
+    elapsed_s = time.perf_counter() - t0
+    status = "PASS" if result.passed and elapsed_s < budget_s else "FAIL"
+    print(f"[{index}/9] {label}: {status} ({elapsed_s:.2f}s, budget {budget_s:.0f}s)")
+    assert elapsed_s < budget_s, f"runtime {elapsed_s:.2f}s over budget {budget_s}s"
     assert result.passed, result.details
 
 
 def test_criterion_1_averaging_norm_matches_lebesgue():
     # 100 random dyadic step functions on [0,1], p in {1.5, 2, 3}: the
     # partition norm at (p, 1, 0) equals the L^p norm within 1e-9 relative
-    res = verify_riesz_identity(seed=7, count=100, exponents=(1.5, 2.0, 3.0), tol=1e-9)
-    _report(1, "averaging norm equals Lebesgue norm", res, 5.0)
+    _report(1, "averaging norm equals Lebesgue norm", verify_riesz_identity, 5.0)
 
 
 def test_criterion_2_singleton_family_optimal():
@@ -38,13 +43,7 @@ def test_criterion_2_singleton_family_optimal():
     # cells confirms the whole cube is optimal and matches the closed form
     # within 1e-9.  The stated regime bound excludes positive alpha, so the
     # second triple uses alpha = -0.2 and the boundary value 1/3 - 1/2.
-    res = verify_singleton_regime(
-        seed=11,
-        param_triples=((2.0, 1.0, -0.6), (3.0, 2.0, -0.2), (3.0, 2.0, 1.0 / 3.0 - 0.5)),
-        grid_cells=10,
-        tol=1e-9,
-    )
-    _report(2, "singleton family optimal in the collapse regime", res, 10.0)
+    _report(2, "singleton family optimal in the collapse regime", verify_singleton_regime, 10.0)
 
 
 def test_criterion_3_shell_scores_diverge_harmonically():
@@ -52,16 +51,14 @@ def test_criterion_3_shell_scores_diverge_harmonically():
     # logarithmically at the rate derived from the shell mass law raised to
     # 1 - p*alpha (including the equipartition factor of the 2-interval
     # shell partition), within 10 percent
-    res = verify_shell_divergence(shell_count=200, parts_per_side=1, p=1.0, q=2.0, alpha=0.25, rate_tol=0.10)
-    _report(3, "indicator shell scores diverge harmonically", res, 30.0)
+    _report(3, "indicator shell scores diverge harmonically", verify_shell_divergence, 30.0)
 
 
 def test_criterion_4_sparse_function_on_the_line():
     # (2,1,-1/4), truncations 10/100/1000: critical-power mass equals the
     # harmonic number (H_1000 frozen by direct summation), optimizer scores
     # stay below the two-part analytic bound, weak norms grow unboundedly
-    res = verify_sparse_function(truncations=(10, 100, 1000), p=2.0, q=1.0, alpha=-0.25)
-    _report(4, "sparse line function: growth, bounds, weak norm", res, 60.0)
+    _report(4, "sparse line function: growth, bounds, weak norm", verify_sparse_function, 60.0)
 
 
 def test_criterion_5_tree_function_on_a_cube():
@@ -69,34 +66,29 @@ def test_criterion_5_tree_function_on_a_cube():
     # critical mass 2**(-1/2) within 1e-12, closed-form q-integral within
     # 1e-9, optimizer trace stabilizing (<1% from depth 10 to 12) below the
     # analytic bound while the critical integral grows linearly
-    res = verify_tree_function(depth=12, dim=1, p=2.0, q=1.0, alpha=-0.25)
-    _report(5, "diagonal tree function on a cube", res, 120.0)
+    _report(5, "diagonal tree function on a cube", verify_tree_function, 120.0)
 
 
 def test_criterion_6_critical_embedding():
     # 1000 random (function, family, parameters) triples: family scores
     # to the 1/p never exceed the critical Lebesgue norm
-    res = verify_embedding(seed=23, count=1000)
-    _report(6, "critical Lebesgue embedding", res, 10.0)
+    _report(6, "critical Lebesgue embedding", verify_embedding, 10.0)
 
 
 def test_criterion_7_optimizer_agrees_with_composition_oracle():
     # shared 1-D grids with 4..12 cells, 50 random step functions: exact
     # agreement (1e-12 float noise) wherever the optimum provably lies in
     # both feasible sets, one-sided domination elsewhere
-    res = verify_oracle_equivalence(seed=5, count=50, grid_range=tuple(range(4, 13)))
-    _report(7, "optimizer agrees with composition oracle", res, 30.0)
+    _report(7, "optimizer agrees with composition oracle", verify_oracle_equivalence, 30.0)
 
 
 def test_criterion_8_classifier_sweep():
     # 200+ grid points over (p, q, alpha) x domain kind, including the
     # boundary cases and the single-cube-branch identification at p = inf
-    res = verify_classifier(min_points=200)
-    _report(8, "classification sweep", res, 1.0)
+    _report(8, "classification sweep", verify_classifier, 1.0)
 
 
 def test_criterion_9_power_sum_inequalities():
     # 10**4 random positive sequences: all four comparisons hold; constant
     # sequences attain equality within 1e-12
-    res = verify_power_sums(seed=3, count=10_000)
-    _report(9, "power-sum inequality suite", res, 5.0)
+    _report(9, "power-sum inequality suite", verify_power_sums, 5.0)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from rmlab.cli import main
+from rmlab.verification import PROBES
 
 
 def run_cli(args, capsys):
@@ -192,6 +194,18 @@ class TestNormCommand:
         assert code == 0
         assert abs(json.loads(out)["value"] - 1.0) < 1e-12
 
+    def test_infinite_p_on_a_constructed_deep_tree(self, tmp_path, capsys):
+        # the depth-10 tree has supports below the ulp of their position
+        fn = tmp_path / "tree.json"
+        run_cli(["construct", "tree", "--n", "1", "--depth", "10", "--p", "2", "--q", "1",
+                 "--alpha", "-0.25", "-o", str(fn)], capsys)
+        code, out = run_cli(
+            ["norm", "--function", str(fn), "--p", "inf", "--q", "1", "--alpha", "-0.5", "--depth", "8"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["value"] > 0.0
+
     def test_certificate_csv(self, tmp_path, capsys):
         fn = tmp_path / "f.json"
         run_cli(["construct", "sparse", "--L", "5", "-o", str(fn)], capsys)
@@ -259,6 +273,21 @@ class TestVerifyCommand:
         assert repr(details["embedding"]["worst_margin"]) == "-0.001723126087797424"
         assert repr(details["lem1e"]["fitted_rate"]) == "0.43609257765888493"
 
+    def test_each_flag_reaches_its_probe(self, tmp_path, capsys):
+        run_cli(["verify", "prop-q", "lem1e", "q23-identity", "riesz-identity",
+                 "--depth", "3", "--K", "10", "--grid", "16", "--seed", "9", "-o", str(tmp_path)], capsys)
+        details = {name: json.loads((tmp_path / f"{name}.json").read_text())["details"]
+                   for name in ("prop-q", "lem1e", "q23-identity", "riesz-identity")}
+        assert details["prop-q"]["cubes"] == 15
+        assert details["lem1e"]["shells"] == 10
+        assert details["q23-identity"]["grid_cells"] == 16
+        assert details["riesz-identity"]["seed"] == 9
+
+    def test_probes_take_only_verify_flags(self):
+        # every other probe setting is a constant, so it needs no flag
+        for name, probe in PROBES.items():
+            assert set(inspect.signature(probe).parameters) <= {"seed", "K", "depth", "grid"}, name
+
     def test_unapplied_parameter_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "prop-q", "--p", "3"])
@@ -285,8 +314,8 @@ class TestVerifyCommand:
         import rmlab.cli as climod
         from rmlab.verification import ProbeResult
 
-        def failing(**kwargs):
-            return ProbeResult("classify-sweep", False, {"forced": True})
+        def failing():
+            return ProbeResult(False, {"forced": True})
 
         monkeypatch.setitem(climod.PROBES, "classify-sweep", failing)
         code, out = run_cli(["verify", "classify-sweep"], capsys)
@@ -308,6 +337,17 @@ class TestConfigFile:
         code, out = run_cli(["classify", "--config", str(cfg), "--alpha", "0"], capsys)
         assert code == 0
         assert json.loads(out)["verdict"] == "EqualsLp"
+
+    def test_construct_dimension_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        for extra, dim in (([], 1), (["--config", str(cfg)], 2)):
+            fn, meta = tmp_path / "tree.json", tmp_path / "tree.meta.json"
+            code, _ = run_cli(["construct", "tree", "--depth", "1", "--p", "2", "--q", "1", "--alpha", "-0.25",
+                               *extra, "-o", str(fn), "--meta", str(meta)], capsys)
+            assert code == 0
+            assert json.loads(fn.read_text())["dim"] == dim
+            assert json.loads(meta.read_text())["config"]["n"] == dim
 
     def test_unknown_config_field_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

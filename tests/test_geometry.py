@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmlab.geometry import (
+    _FACE_SLACK,
     Cube,
     CubeFamily,
     DimensionMismatchError,
@@ -33,6 +34,16 @@ def grid_cube_strategy(dim):
         st.sampled_from((0.5, 1.0, 1.5, 3.0, 1e-14)),
         st.sampled_from((0.0, -2.0, 1000.0)),
     )
+
+
+def disjoint_pair_reference(a, b):
+    """The per-axis slack test on one pair, coordinate by coordinate: the test reference."""
+    for lo_a, lo_b in zip(a.lower, b.lower):
+        lo = max(lo_a, lo_b)
+        hi = min(lo_a + a.side, lo_b + b.side)
+        if hi - lo <= _FACE_SLACK * max(abs(lo), abs(hi)):
+            return True
+    return False
 
 
 def cube_strategy(dim):
@@ -84,12 +95,10 @@ class TestDisjointness:
                 Cube(tuple(rng.uniform(-3, 3, 2)), float(rng.uniform(0.2, 2.0)))
                 for _ in range(6)
             ]
-            expected = all(
-                interiors_disjoint(a, b)
-                for i, a in enumerate(cubes)
-                for b in cubes[i + 1 :]
-            )
-            assert interiors_pairwise_disjoint(cubes) == expected
+            pairs = [(a, b) for i, a in enumerate(cubes) for b in cubes[i + 1 :]]
+            expected = [disjoint_pair_reference(a, b) for a, b in pairs]
+            assert [interiors_disjoint(a, b) for a, b in pairs] == expected
+            assert interiors_pairwise_disjoint(cubes) == all(expected)
 
     def test_touching_row_with_one_overlap(self):
         cubes = [Cube((float(i),), 1.0) for i in range(40)]
@@ -104,7 +113,7 @@ class TestDisjointness:
     @settings(max_examples=300, deadline=None)
     def test_sweep_matches_every_pair(self, cubes):
         expected = all(
-            interiors_disjoint(a, b)
+            disjoint_pair_reference(a, b)
             for i, a in enumerate(cubes)
             for b in cubes[i + 1 :]
         )

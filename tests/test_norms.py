@@ -507,6 +507,15 @@ class TestMorreyEstimate:
         v2 = morrey_norm_estimate(doubled, Domain.whole_space(1), 2.0, -0.25).value
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
+    def test_sub_ulp_supports_are_skipped_as_enclosures(self):
+        # the deepest supports of the depth-10 tree lie below the ulp of
+        # their position, so the enclosure of such a run has side 0
+        f = tree_function(build_tree(1, 10, ParamSpace(2.0, 1.0, -0.25)))
+        est = morrey_norm_estimate(f, Domain.whole_space(1), 1.0, -0.5, dyadic_depth=8)
+        (cube,) = est.certificate
+        assert est.value > 0.0
+        assert est.value == cube.volume ** -0.5 * lq_norm_on_cube(f, cube, 1.0)
+
     def test_infinite_p_routes_to_single_cube_branch(self):
         ones = StepFunction(((UNIT, 1.0),))
         est = rm_norm_estimate(ones, ParamSpace(math.inf, 1.0, -0.5), UNIT, 4)
