@@ -1,7 +1,8 @@
 """Command-line front end: construct, norm, verify, classify, sweep.
 
-Output is machine-first: JSON verdicts (floats at 17 significant digits,
-keys sorted, so identical config and seed give byte-identical bytes) and
+Output is machine-first: JSON verdicts (floats in shortest round-trip
+form, the non-finite ones as the strings "inf", "-inf" and "nan", keys
+sorted, so identical config and seed give byte-identical bytes) and
 RFC-4180 CSV traces.  Exit status: 0 on success, 1 on probe failure,
 2 on configuration errors.
 """
@@ -29,33 +30,29 @@ from .verification import PROBES
 __all__ = ["main"]
 
 
-class _F(float):
-    """Float with fixed 17-significant-digit repr for deterministic JSON."""
-
-    def __repr__(self) -> str:  # noqa: D105
-        if math.isinf(self):
-            return "1e999" if self > 0 else "-1e999"
-        return format(float(self), ".17g")
-
-
-def _wrap_floats(obj):
+def _plain(obj):
+    """obj with numpy scalars as Python ones, tuples as lists and the
+    non-finite floats as the strings "inf", "-inf" and "nan"."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, float):
-        return _F(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            return x
+        return "nan" if math.isnan(x) else ("inf" if x > 0.0 else "-inf")
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return _F(float(obj))
     if isinstance(obj, dict):
-        return {k: _wrap_floats(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_wrap_floats(v) for v in obj]
+        return [_plain(v) for v in obj]
     return obj
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_wrap_floats(obj), indent=2, sort_keys=True) + "\n"
+    """JSON text, keys sorted, floats in shortest round-trip form; never the
+    bare Infinity or NaN tokens, which are not JSON."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:

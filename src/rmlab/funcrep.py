@@ -117,15 +117,19 @@ class StepFunction:
     pieces: tuple[tuple[Cube, float], ...]
 
     def __post_init__(self) -> None:
-        pieces = tuple((cube, float(h)) for cube, h in self.pieces)
-        object.__setattr__(self, "pieces", pieces)
-        if pieces:
-            d = pieces[0][0].dim
-            if any(cube.dim != d for cube, _ in pieces):
+        pieces = []
+        dim = self.pieces[0][0].dim if self.pieces else 0
+        bad = None  # the first height that is not finite and >= 0
+        for cube, h in self.pieces:
+            h = float(h)
+            if cube.dim != dim:
                 raise DimensionMismatchError("step function mixes support dimensions")
-        for _, h in pieces:
-            if not math.isfinite(h) or h < 0.0:
-                raise ValueError(f"heights must be finite and >= 0, got {h}")
+            if not 0.0 <= h < math.inf and bad is None:
+                bad = h
+            pieces.append((cube, h))
+        object.__setattr__(self, "pieces", tuple(pieces))
+        if bad is not None:
+            raise ValueError(f"heights must be finite and >= 0, got {bad}")
 
     @property
     def dim(self) -> int:
@@ -244,58 +248,100 @@ def lq_norm_on_cube(f: FunctionLike, cube: Cube, q: float) -> float:
 
 
 def grid_cell_values(
-    f: FunctionLike, origin: Sequence[float], width: float, cells: int, q: float
+    f: FunctionLike, origins: np.ndarray, width: float, cells: int, q: float
 ) -> np.ndarray:
-    """Integral of |f|**q (sup of |f| for q = inf) over each cube of a uniform grid.
+    """Integral of |f|**q (sup of |f| for q = inf) over each cube of uniform grids.
 
-    Cube i (a multi-index, shape (cells,) * n) has lower corner origin +
-    width * i and side width.  Step functions are scattered: per axis, the
-    (piece, cell, overlap width) triples of the cells a piece meets, joined
-    per piece and summed by bincount (max for q = inf), so the work grows
-    with the cells covered, not pieces x cells.  Radial powers send every
-    cell through one quadrature batch (power_integrals), a cell on the
-    origin corner as its ring of regular boxes; for q = inf the sup is read
-    off each cell's corners.
+    `origins` has shape (G, n), one grid per row; the result has shape
+    (G,) + (cells,) * n, and cube i (a multi-index) of grid g has lower
+    corner origins[g] + width * i and side width.  Step functions are
+    scattered: per axis and per distinct origin on that axis, the (piece,
+    cell, overlap width) triples of the cells a piece meets, joined per
+    piece over the axes and summed by bincount (max for q = inf) into the
+    product of the axes' distinct origins, from which each grid's cells
+    are read.  The work grows with the cells covered, not pieces x cells,
+    and each cell adds its terms in piece order, as with one grid alone.
+    Radial powers send every cell of every grid through one quadrature
+    batch (power_integrals), a cell on the origin corner as its ring of
+    regular boxes; for q = inf the sup is read off each cell's corners.
     """
-    n = len(origin)
+    origins = np.asarray(origins, dtype=float)
+    grids, n = origins.shape
     shape = (cells,) * n
     if isinstance(f, RadialPower):
         if f.dim != n:
             raise DimensionMismatchError("grid dim != function dim")
-        lows = np.asarray(origin, dtype=float) + width * np.indices(shape).reshape(n, -1).T
-        return _radial_cell_values(f, lows, width, q).reshape(shape)
+        lows = origins[:, None, :] + width * np.indices(shape).reshape(n, -1).T
+        return _radial_cell_values(f, lows.reshape(-1, n), width, q).reshape((grids,) + shape)
     if not isinstance(f, StepFunction):
         raise TypeError(f"cannot integrate {type(f).__name__}")
     if not f.pieces:
-        return np.zeros(shape)
+        return np.zeros((grids,) + shape)
     if f.dim != n:
         raise DimensionMismatchError("grid dim != function dim")
     lows, sides, heights = f._arrays
-    piece = np.arange(len(sides))
-    flat = np.zeros(len(sides), dtype=np.int64)
-    vol = np.ones(len(sides))
-    for j in range(n):
-        # every cell within one index of the float estimate of the piece's
-        # first and last cell; the exact widths below drop the misses
-        lo = np.clip((lows[:, j] - origin[j]) / width, -1.0, cells)
-        hi = np.clip((lows[:, j] + sides - origin[j]) / width, -1.0, cells)
-        first = np.clip(np.floor(lo).astype(np.int64) - 1, 0, cells - 1)
-        last = np.clip(np.floor(hi).astype(np.int64) + 1, 0, cells - 1)
-        reps = (last - first + 1)[piece]
-        run = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-        piece = np.repeat(piece, reps)
-        cell = first[piece] + run
-        w = _overlap_widths(lows[piece, j], sides[piece], origin[j] + width * cell, width)
-        flat = np.repeat(flat, reps) * cells + cell
-        vol = np.repeat(vol, reps) * w
-        hit = vol > 0.0
-        piece, flat, vol = piece[hit], flat[hit], vol[hit]
+    columns = origins.T.tolist()
+    axes = [list(dict.fromkeys(column)) for column in columns]  # distinct origins per axis
+    counts = [len(at) for at in axes]
+    # (piece, flat index into tuple(counts) + (cells,) * n in C order, volume)
+    triples = (np.arange(len(sides)), np.zeros(len(sides), dtype=np.int64), np.ones(len(sides)))
+    for j, at in enumerate(axes):
+        stride, per_origin = cells ** (n - 1 - j), cells ** n * math.prod(counts[j + 1:])
+        parts = [_scatter_axis(triples, lows[:, j], sides, o, width, cells, stride, k * per_origin)
+                 for k, o in enumerate(at)]
+        # the origins' parts hold disjoint cells, so each cell's terms stay in piece order
+        triples = parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+    piece, flat, vol = triples
+    size = math.prod(counts) * cells ** n
     if math.isinf(q):
-        out = np.zeros(cells ** n)
+        out = np.zeros(size)
         np.maximum.at(out, flat, heights[piece])
     else:
-        out = np.bincount(flat, weights=heights[piece] ** q * vol, minlength=cells ** n)
-    return out.reshape(shape)
+        out = np.bincount(flat, weights=heights[piece] ** q * vol, minlength=size)
+    rows = [0] * grids  # each grid's C index into tuple(counts)
+    for at, column in zip(axes, columns):
+        rows = [r * len(at) + at.index(v) for r, v in zip(rows, column)]
+    out = out.reshape(-1, cells ** n)
+    if rows != list(range(len(out))):
+        out = out[rows]
+    return out.reshape((grids,) + shape)
+
+
+def _scatter_axis(
+    triples: tuple[np.ndarray, np.ndarray, np.ndarray],
+    low: np.ndarray,
+    sides: np.ndarray,
+    origin: float,
+    width: float,
+    cells: int,
+    stride: int,
+    offset: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Repeat each (piece, flat index, volume) triple for every cell of one
+    grid axis that its piece meets, the pieces starting at `low` on this
+    axis and cell i at origin + width * i.  The flat index gains
+    i * stride + offset and the volume the overlap width; triples of zero
+    volume are dropped.  The unfiltered arrays are freed on return, before
+    the caller allocates again.
+    """
+    piece, flat, vol = triples
+    # every cell within one index of the float estimate of the piece's
+    # first and last cell; the exact widths below drop the misses
+    lo = np.clip((low - origin) / width, -1.0, cells)
+    hi = np.clip((low + sides - origin) / width, -1.0, cells)
+    first = np.clip(np.floor(lo).astype(np.int64) - 1, 0, cells - 1)
+    last = np.clip(np.floor(hi).astype(np.int64) + 1, 0, cells - 1)
+    reps = (last - first + 1)[piece]
+    run = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+    piece = np.repeat(piece, reps)
+    cell = first[piece] + run
+    w = _overlap_widths(low[piece], sides[piece], origin + width * cell, width)
+    vol = np.repeat(vol, reps) * w
+    cell *= stride
+    cell += offset
+    flat = np.repeat(flat, reps) + cell
+    hit = vol > 0.0
+    return piece[hit], flat[hit], vol[hit]
 
 
 def _radial_cell_values(f: RadialPower, lows: np.ndarray, side: float, q: float) -> np.ndarray:

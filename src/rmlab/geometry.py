@@ -41,15 +41,16 @@ class Cube:
     side: float
 
     def __post_init__(self) -> None:
-        lower = tuple(float(c) for c in self.lower)
+        lower = tuple(map(float, self.lower))
+        side = float(self.side)
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "side", float(self.side))
+        object.__setattr__(self, "side", side)
         if not lower:
             raise ValueError("cube needs at least one coordinate")
-        if not all(math.isfinite(c) for c in lower) or not math.isfinite(self.side):
+        if not (all(map(math.isfinite, lower)) and math.isfinite(side)):
             raise ValueError("cube coordinates must be finite")
-        if self.side <= 0.0:
-            raise ValueError(f"cube side must be positive, got {self.side}")
+        if side <= 0.0:
+            raise ValueError(f"cube side must be positive, got {side}")
 
     @property
     def dim(self) -> int:

@@ -90,54 +90,26 @@ def _scores(volume: float | np.ndarray, mass: np.ndarray, params: ParamSpace) ->
     return s
 
 
-# even and odd cells along axis j; a coarsened grid has depth >= 1, so dim <= 24
-_EVEN, _ODD = (tuple((slice(None),) * j + (slice(b, None, 2),) for j in range(24)) for b in (0, 1))
+# even and odd cells along axis j; axis 0 holds the grids, and a coarsened
+# grid has depth >= 1, so dim <= 24
+_EVEN, _ODD = (tuple((slice(None),) * j + (slice(b, None, 2),) for j in range(25)) for b in (0, 1))
+# finest cells the DP holds per pass over its grids; a larger grid gets a pass of its own
+_PASS_CELLS = 1 << 16
 
 
 def _coarsen(a: np.ndarray, combine: np.ufunc) -> np.ndarray:
-    """Combine each block of 2**n child cells into its parent cell.
+    """Combine each block of 2**n child cells into its parent cell, grid by grid.
 
-    Cells pair along one axis at a time, last axis first: the order of a
-    reduce over the (half, 2)**n blocks in 1-D and 2-D.  That reduce adds
-    the root's 2**n children as one run instead, so the root keeps it.
+    Axis 0 of `a` holds the grids.  Cells pair along one axis at a time,
+    last axis first: the order of a reduce over the (half, 2)**n blocks in
+    1-D and 2-D.  That reduce adds the root's 2**n children as one run
+    instead, so the root keeps it.
     """
-    if a.shape[0] == 2:
-        return combine.reduce(a, axis=None, keepdims=True)
-    for j in range(a.ndim - 1, -1, -1):
+    if a.shape[1] == 2:
+        return combine.reduce(a.reshape(len(a), -1), axis=1).reshape((len(a),) + (1,) * (a.ndim - 1))
+    for j in range(a.ndim - 1, 0, -1):
         a = combine(a[_EVEN[j]], a[_ODD[j]])
     return a
-
-
-def _dp_grid(
-    f: FunctionLike, origin: tuple[float, ...], side: float, depth: int, params: ParamSpace
-) -> tuple[list[float], list[np.ndarray], list[np.ndarray]]:
-    """Bottom-up dyadic DP on one shifted grid over a mass pyramid.
-
-    Level d has 2**d cells per axis; each coarser level sums its children
-    (max for q = inf).  Returns the best score per horizon 0..depth, the
-    cell scores per level and, for horizon `depth`, the keep-whole arrays.
-    """
-    n = len(origin)
-    values = grid_cell_values(f, origin, side / (1 << depth), 1 << depth, params.q)
-    combine = np.maximum if math.isinf(params.q) else np.add
-    scores = []
-    for d in range(depth, -1, -1):
-        scores.append(_scores((side / (1 << d)) ** n, values, params))
-        if d:
-            values = _coarsen(values, combine)
-    scores.reverse()
-
-    best_by_horizon: list[float] = []
-    for horizon in range(depth + 1):
-        best = scores[horizon]
-        keep = [np.ones(best.shape, dtype=bool)]
-        for d in range(horizon - 1, -1, -1):
-            split = _coarsen(best, np.add)
-            keep.append(scores[d] >= split)
-            best = np.where(keep[-1], scores[d], split)
-        best_by_horizon.append(float(best.flat[0]))
-    keep.reverse()
-    return best_by_horizon, scores, keep
 
 
 def _read_family(
@@ -177,8 +149,16 @@ def rm_norm_dyadic(
     cell, either the cell itself or the best split into its dyadic
     children.  The result is the max over grids, reported as the p-th
     root, with the achieving family as certificate and the per-depth
-    running maxima as trace.  A grid's finest level may hold at most
+    running maxima as trace; of grids with equal best scores the first
+    in offset-product order wins.  A grid's finest level may hold at most
     MAX_DP_CELLS cells, so depth * dim <= 24.
+
+    The grids run in passes, each one array pass with the grids on a
+    leading axis: their cell masses come from one grid_cell_values call,
+    and the mass pyramid and the keep-or-split sweep work on every grid
+    at once.  A pass holds at most _PASS_CELLS finest cells, or one grid
+    when a grid alone has more.  Keep-whole arrays are built for the
+    last horizon only, the one the certificate is read from.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")
@@ -193,17 +173,43 @@ def rm_norm_dyadic(
     if any(not 0.0 <= o < 1.0 for o in offset_list):
         raise ValueError("offsets must lie in [0, 1)")
 
+    origins = np.array(root.lower) + np.array(list(iter_product(offset_list, repeat=n))) * root.side
+    combine = np.maximum if math.isinf(params.q) else np.add
     best_by_depth = [0.0] * (depth + 1)
     best_value = -1.0
     best_family: CubeFamily = CubeFamily(())
-    for vec in iter_product(offset_list, repeat=n):
-        origin = tuple(lo + o * root.side for lo, o in zip(root.lower, vec))
-        values, scores, keep = _dp_grid(f, origin, root.side, depth, params)
-        for d, v in enumerate(values):
-            best_by_depth[d] = max(best_by_depth[d], v)
-        if values[depth] > best_value:
-            best_value = values[depth]
-            best_family = _read_family(origin, root.side, scores, keep)
+    per_pass = max(1, _PASS_CELLS >> (n * depth))
+    for first in range(0, len(origins), per_pass):
+        batch = origins[first:first + per_pass]
+        values = grid_cell_values(f, batch, root.side / (1 << depth), 1 << depth, params.q)
+        scores = []
+        for d in range(depth, -1, -1):
+            scores.append(_scores((root.side / (1 << d)) ** n, values, params))
+            if d:
+                values = _coarsen(values, combine)
+        scores.reverse()
+
+        # horizons before the last need only each grid's best score
+        for horizon in range(depth):
+            best = scores[horizon]
+            for d in range(horizon - 1, -1, -1):
+                best = np.maximum(scores[d], _coarsen(best, np.add))
+            best_by_depth[horizon] = max(best_by_depth[horizon], float(best.max()))
+        best = scores[depth]
+        keep = [np.ones(best.shape, dtype=bool)]
+        for d in range(depth - 1, -1, -1):
+            split = _coarsen(best, np.add)
+            keep.append(scores[d] >= split)
+            best = np.where(keep[-1], scores[d], split)
+        keep.reverse()
+        best = best.reshape(-1)
+        g = int(np.argmax(best))  # the first best grid, as the strict > keeps the first across passes
+        best_by_depth[depth] = max(best_by_depth[depth], float(best[g]))
+        if best[g] > best_value:
+            best_value = float(best[g])
+            best_family = _read_family(
+                tuple(batch[g].tolist()), root.side, [s[g] for s in scores], [k[g] for k in keep]
+            )
 
     running = np.maximum.accumulate(best_by_depth).tolist()
     trace = tuple((float(d), v ** (1.0 / params.p)) for d, v in enumerate(running))
@@ -236,7 +242,7 @@ def rm_norm_intervals_1d(f: FunctionLike, root: Cube, grid_cells: int, params: P
     lo = root.lower[0]
     w = root.side / m
     edges = lo + w * np.arange(m + 1, dtype=float)
-    cells = grid_cell_values(f, (lo,), w, m, params.q)
+    cells = grid_cell_values(f, np.array([[lo]]), w, m, params.q)[0]
     combine = np.maximum if math.isinf(params.q) else np.add
 
     best = np.zeros(m + 1)

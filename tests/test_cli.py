@@ -1,11 +1,13 @@
 import inspect
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rmlab.cli import main
+from rmlab.cli import canonical_json, main
 from rmlab.verification import PROBES
 
 
@@ -13,6 +15,20 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out
+
+
+def strict_json(text):
+    """json.loads that rejects the Infinity, -Infinity and NaN tokens, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_canonical_json_writes_non_finite_floats_as_strings():
+    text = canonical_json({"a": 1.0 / 3.0, "b": math.inf, "c": -math.inf, "d": math.nan,
+                           "e": np.float64(0.1), "f": (1, np.float64(2.5), np.int64(3))})
+    assert strict_json(text) == {"a": 1.0 / 3.0, "b": "inf", "c": "-inf", "d": "nan", "e": 0.1, "f": [1, 2.5, 3]}
+    assert '"a": 0.3333333333333333,' in text
 
 
 class TestClassifyCommand:
@@ -193,6 +209,15 @@ class TestNormCommand:
         )
         assert code == 0
         assert abs(json.loads(out)["value"] - 1.0) < 1e-12
+
+    def test_infinite_p_writes_strict_json(self, tmp_path, capsys):
+        fn = tmp_path / "t.json"
+        fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
+        code, out = run_cli(
+            ["norm", "--function", str(fn), "--p", "inf", "--q", "1", "--alpha", "-0.5", "--depth", "3"], capsys
+        )
+        assert code == 0
+        assert strict_json(out)["config"]["p"] == "inf"
 
     def test_infinite_p_on_a_constructed_deep_tree(self, tmp_path, capsys):
         # the depth-10 tree has supports below the ulp of their position

@@ -21,7 +21,7 @@ from rmlab.funcrep import (
     shell_integral_radial,
     weak_norm,
 )
-from rmlab.geometry import Cube, Domain
+from rmlab.geometry import Cube, DimensionMismatchError, Domain
 from rmlab.constructions import sparse_function
 
 
@@ -300,3 +300,18 @@ class TestJsonRoundTrip:
         doc = json.loads(f.to_json())
         assert set(doc) == {"dim", "pieces"}
         assert set(doc["pieces"][0]) == {"lower", "side", "height"}
+
+
+class TestStepFunctionChecks:
+    def test_heights_become_floats(self):
+        f = StepFunction(((Cube((0.0,), 1.0), 2),))
+        assert f.pieces == ((Cube((0.0,), 1.0), 2.0),) and type(f.pieces[0][1]) is float
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_heights(self, h):
+        with pytest.raises(ValueError, match=f"heights must be finite and >= 0, got {h}"):
+            StepFunction(((Cube((0.0,), 1.0), 1.0), (Cube((1.0,), 1.0), h)))
+
+    def test_mixed_dimensions_are_reported_before_heights(self):
+        with pytest.raises(DimensionMismatchError, match="mixes support dimensions"):
+            StepFunction(((Cube((0.0,), 1.0), -1.0), (Cube((0.0, 0.0), 1.0), 1.0)))

@@ -69,6 +69,12 @@ class TestCube:
             Cube((math.inf,), 1.0)
         with pytest.raises(ValueError):
             Cube((), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Cube((0.0,), math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            Cube((0.0,), math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            Cube((0.0, math.nan), 1.0)
 
     def test_contains(self):
         c = Cube((0.0, 0.0), 2.0)

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from rmlab import norms
 from rmlab.estimate import LOWER_BOUND
-from rmlab.funcrep import ParamSpace, RadialPower, StepFunction, lebesgue_norm, lq_norm_on_cube
-from rmlab.geometry import Cube, Domain, dyadic_children
+from rmlab.funcrep import ParamSpace, RadialPower, StepFunction, grid_cell_values, lebesgue_norm, lq_norm_on_cube
+from rmlab.geometry import Cube, CubeFamily, Domain, dyadic_children
 from rmlab.norms import (
     DEFAULT_OFFSETS,
     MAX_DP_CELLS,
     MAX_INTERVAL_CELLS,
     _coarsen,
-    _dp_grid,
     morrey_norm_estimate,
     riesz_norm,
     rm_norm_dyadic,
@@ -74,9 +73,10 @@ def bruteforce_1d(f, root, m, params):
 
 
 def _coarsen_by_reduce(a, combine):
-    """The reshape-and-reduce coarsening the strided kernel replaced: the test reference."""
-    half = a.shape[0] // 2
-    return combine.reduce(a.reshape((half, 2) * a.ndim), axis=tuple(range(1, 2 * a.ndim, 2)))
+    """The reshape-and-reduce coarsening the strided kernel replaced, grid by
+    grid along axis 0: the test reference."""
+    grids, half, n = a.shape[0], a.shape[1] // 2, a.ndim - 1
+    return combine.reduce(a.reshape((grids,) + (half, 2) * n), axis=tuple(range(2, 2 * n + 1, 2)))
 
 
 def two_step():
@@ -204,12 +204,12 @@ class TestCoarsen:
     @pytest.mark.parametrize("combine", [np.add, np.maximum], ids=["add", "maximum"])
     @pytest.mark.parametrize("dim, cells", [(1, 2), (1, 6), (1, 512), (2, 2), (2, 6), (2, 512)])
     def test_bit_identical_to_reduce_in_one_and_two_dims(self, dim, cells, combine):
-        a = 10.0 ** np.random.default_rng(cells * dim).uniform(-3.0, 3.0, (cells,) * dim)
+        a = 10.0 ** np.random.default_rng(cells * dim).uniform(-3.0, 3.0, (3,) + (cells,) * dim)
         assert np.array_equal(_coarsen(a, combine), _coarsen_by_reduce(a, combine))
 
     @pytest.mark.parametrize("cells", [2, 4, 16, 64])
     def test_three_dims(self, cells):
-        a = 10.0 ** np.random.default_rng(cells).uniform(-3.0, 3.0, (cells,) * 3)
+        a = 10.0 ** np.random.default_rng(cells).uniform(-3.0, 3.0, (3,) + (cells,) * 3)
         assert np.array_equal(_coarsen(a, np.maximum), _coarsen_by_reduce(a, np.maximum))
         want = _coarsen_by_reduce(a, np.add)
         assert np.max(np.abs(_coarsen(a, np.add) - want) / want) <= 4 * np.finfo(float).eps
@@ -344,7 +344,9 @@ class TestDyadicOptimizer:
         params = random_intermediate_params(rng)
         once = rm_norm_dyadic(f, square, 3, params, offsets=(0.5, 0.0))
         grids = []
-        monkeypatch.setattr(norms, "_dp_grid", lambda *a: grids.append(a[1]) or _dp_grid(*a))
+        monkeypatch.setattr(
+            norms, "grid_cell_values", lambda f, o, *a: grids.extend(map(tuple, o.tolist())) or grid_cell_values(f, o, *a)
+        )
         again = rm_norm_dyadic(f, square, 3, params, offsets=(0.5, 0.0, 0.5, 0.0, 0.0))
         assert (again.value, again.certificate, again.trace) == (once.value, once.certificate, once.trace)
         assert grids == [(0.0, 0.0), (0.0, -4.0), (-4.0, 0.0), (-4.0, -4.0)]
@@ -356,6 +358,83 @@ class TestDyadicOptimizer:
         ones4 = StepFunction(((Cube((0.0,) * 4, 1.0), 1.0),))
         with pytest.raises(ValueError):
             rm_norm_dyadic(ones4, Cube((0.0,) * 4, 1.0), 7, RIESZ2)
+
+
+def grid_by_grid(f, root, depth, params, offsets):
+    """rm_norm_dyadic with every grid alone in its pass, as a one-row origins
+    array, keeping the first maximum: the reference for the batched passes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_PASS_CELLS", 0)
+        return rm_norm_dyadic(f, root, depth, params, offsets=offsets)
+
+
+def with_pass_sizes(f, root, depth, params, offsets):
+    """rm_norm_dyadic and the number of grids in each of its passes."""
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "grid_cell_values", lambda f, o, *a: sizes.append(len(o)) or grid_cell_values(f, o, *a))
+        est = rm_norm_dyadic(f, root, depth, params, offsets=offsets)
+    return est, sizes
+
+
+def outcome(est):
+    return est.value, est.trace, est.certificate
+
+
+class TestBatchedGrids:
+    """The grids of one pass share one array pass; the outcome is that of one grid at a time."""
+
+    # deepest DP per (function, dim): one or several grids per pass
+    DEPTHS = {("step", 1): 16, ("step", 2): 8, ("step", 3): 5, ("radial", 1): 12, ("radial", 2): 4}
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        kind=st.sampled_from(sorted(DEPTHS)),
+        sup=st.booleans(),
+        offsets=st.lists(st.sampled_from((0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0)), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_matches_one_grid_per_pass(self, seed, kind, sup, offsets, data):
+        function, dim = kind
+        depth = data.draw(st.integers(0, self.DEPTHS[kind]), label="depth")
+        rng = np.random.default_rng(seed)
+        params = random_intermediate_params(rng)
+        if sup:
+            params = ParamSpace(params.p, math.inf, params.alpha)
+        if function == "radial":
+            f = RadialPower.from_params(params, dim)
+            # the sup of a negative power is infinite on a cube at the origin
+            root = Cube((0.125 if sup else 0.0,) * dim, 1.0)
+        else:
+            f = random_step_function(rng, dim)
+            root = Cube((-4.0,) * dim, 8.0)
+        est = rm_norm_dyadic(f, root, depth, params, offsets=offsets)
+        assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, offsets))
+
+    def test_uneven_passes_in_three_dims(self):
+        rng = np.random.default_rng(5)
+        f = random_step_function(rng, 3)
+        params = random_intermediate_params(rng)
+        root = Cube((-4.0,) * 3, 8.0)
+        est, sizes = with_pass_sizes(f, root, 4, params, None)
+        assert sizes == [16, 11]
+        assert outcome(est) == outcome(grid_by_grid(f, root, 4, params, None))
+
+    @pytest.mark.parametrize("depth, sizes", [(4, [16, 11]), (5, [2] * 13 + [1])])
+    def test_tie_across_a_pass_boundary_goes_to_the_first_grid(self, depth, sizes):
+        # f = 1 on [0.25, 1.5]**3 fills the eight grids whose offsets are all
+        # 0.25 or 0.5, and keeping their root cube scores 1 in each, so they
+        # tie exactly; grid 13, the first of them, wins over grid 14 and the
+        # grids of the later passes
+        f = StepFunction(((Cube((0.25,) * 3, 1.25), 1.0),))
+        root = Cube((0.0,) * 3, 1.0)
+        params = ParamSpace(2.0, 1.0, -0.25)
+        est, got = with_pass_sizes(f, root, depth, params, (0.0, 0.25, 0.5))
+        assert got == sizes
+        assert est.value == 1.0
+        assert est.certificate == CubeFamily((Cube((0.25,) * 3, 1.0),))
+        assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, (0.0, 0.25, 0.5)))
 
 
 class TestBruteForce:

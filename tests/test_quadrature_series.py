@@ -131,18 +131,18 @@ class TestBatchedCells:
         width = 0.25
         for s in (-0.9, 0.4):
             f = RadialPower(s, n)
-            got = grid_cell_values(f, origin, width, cells, 1.5)
+            got = grid_cell_values(f, np.array([origin]), width, cells, 1.5)[0]
             for idx in np.ndindex(*got.shape):
                 lower = tuple(o + width * i for o, i in zip(origin, idx))
                 want = power_integral_on_box(1.5 * s, lower, width)
                 assert got[idx] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_sup_from_cell_corners(self):
-        got = grid_cell_values(RadialPower(-1.0, 2), (-0.5, 0.0), 0.5, 3, math.inf)
+        got = grid_cell_values(RadialPower(-1.0, 2), np.array([(-0.5, 0.0)]), 0.5, 3, math.inf)[0]
         assert got[0, 0] == 0.0  # outside the orthant
         assert got[1, 0] == math.inf  # on the origin corner
         assert got[2, 1] == pytest.approx(1.0 / math.hypot(0.5, 0.5), rel=1e-15)
-        got = grid_cell_values(RadialPower(2.0, 2), (0.0, 0.0), 0.5, 2, math.inf)
+        got = grid_cell_values(RadialPower(2.0, 2), np.array([(0.0, 0.0)]), 0.5, 2, math.inf)[0]
         assert got[1, 1] == pytest.approx(2.0, rel=1e-15)
 
 
