@@ -30,7 +30,6 @@ from .geometry import (
     Domain,
     box_distance,
     dyadic_children,
-    interiors_disjoint,
     interiors_pairwise_disjoint,
     ring_subdivision,
     shell_partition_1d,
@@ -41,7 +40,6 @@ from .constructions import (
     TreeConstruction,
     TreeSpacing,
     build_tree,
-    descendant_radius,
     descendant_reach,
     modification_cutoff,
     power_split,

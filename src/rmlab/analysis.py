@@ -116,30 +116,25 @@ def check_power_sum_inequalities(
 # per-cube Hoelder and the critical embedding
 # ---------------------------------------------------------------------------
 
-def check_holder_cube(f: StepFunction, cube: Cube, params: ParamSpace, rel_tol: float = 1e-12) -> bool:
+def check_holder_cube(f: StepFunction, cube: Cube, params: ParamSpace) -> bool:
     """|Q|**(1-p*alpha-p/q) ||f||_{L^q(Q)}**p <= (int_Q |f|**theta)**(1-p*alpha)."""
     params.require_intermediate_regime()
     theta = params.theta
     lhs = cube.volume ** params.score_exponent * lq_norm_on_cube(f, cube, params.q) ** params.p
     rhs = lq_norm_on_cube(f, cube, theta) ** theta
     rhs = rhs ** (1.0 - params.p * params.alpha)
-    return lhs <= rhs * (1.0 + rel_tol) + 1e-300
+    return lhs <= rhs * (1.0 + 1e-12) + 1e-300
 
 
 def check_embedding(
-    f: StepFunction,
-    families: Iterable[CubeFamily | Sequence[Cube]],
-    params: ParamSpace,
-    domain: Domain | None = None,
-    rel_tol: float = 1e-12,
+    f: StepFunction, families: Iterable[CubeFamily | Sequence[Cube]], params: ParamSpace
 ) -> bool:
-    """Every family score**(1/p) must sit below the critical Lebesgue norm."""
+    """Every family score**(1/p) must sit below the critical Lebesgue norm on the whole space."""
     params.require_intermediate_regime()
-    dom = domain if domain is not None else Domain.whole_space(f.dim)
-    bound = lebesgue_norm(f, dom, params.theta).value
+    bound = lebesgue_norm(f, Domain.whole_space(f.dim), params.theta).value
     for fam in families:
         val = rm_score(f, fam, params) ** (1.0 / params.p)
-        if val > bound * (1.0 + rel_tol) + 1e-300:
+        if val > bound * (1.0 + 1e-12) + 1e-300:
             return False
     return True
 
@@ -371,7 +366,7 @@ def tree_single_overlap_bound(params: ParamSpace) -> float:
     return 2.0 ** (0.5 * (1.0 - pa)) / (1.0 - 2.0 ** pa)
 
 
-def tree_multi_overlap_bound(tree: TreeConstruction, rel_tol: float = 1e-15) -> float:
+def tree_multi_overlap_bound(tree: TreeConstruction) -> float:
     """Numeric bound for the score mass of cubes meeting several tree cubes.
 
     Per level i, at most 2**(i+1) such cubes exist, each of volume at
@@ -401,7 +396,7 @@ def tree_multi_overlap_bound(tree: TreeConstruction, rel_tol: float = 1e-15) -> 
         log2_term = (i + 1) + n * e * log2_gap_axis + (params.p / params.q) * log2_mass
         term = 2.0 ** log2_term if log2_term > -1060.0 else 0.0
         total += term
-        if i > tree.cutoff + 4 and i > tree.depth and (term <= rel_tol * total or term == 0.0):
+        if i > tree.cutoff + 4 and i > tree.depth and (term <= 1e-15 * total or term == 0.0):
             return total
         i += 1
         if i > 100_000:
@@ -426,7 +421,6 @@ def shell_divergence_probe(
     p: float,
     q: float,
     alpha: float,
-    sample_points: Sequence[int] | None = None,
 ) -> ShellDivergenceResult:
     """Score partial sums of indicator shells inside [-1, 1]; expects
     logarithmic growth.
@@ -443,7 +437,6 @@ def shell_divergence_probe(
     shells = shell_thresholds(p, alpha, shell_count)
     indicator = StepFunction(((Cube((-1.0,), 2.0), 1.0),))
     params = ParamSpace(p, q, alpha)
-    e = params.score_exponent
 
     partials: list[float] = []
     acc = 0.0
@@ -452,8 +445,7 @@ def shell_divergence_probe(
         acc += rm_score(indicator, fam, params, check=False)
         partials.append(acc)
 
-    pts = tuple(sample_points) if sample_points is not None else _log_spaced(shell_count)
-    report = growth_probe(iter(partials), pts)
+    report = growth_probe(iter(partials), _log_spaced(shell_count))
     z = shells.normalizer
     expected = (2.0 * parts_per_side) ** (p * alpha) * (1.0 / z) ** (1.0 - p * alpha)
     return ShellDivergenceResult(
@@ -461,6 +453,6 @@ def shell_divergence_probe(
     )
 
 
-def _log_spaced(top: int, count: int = 12) -> tuple[int, ...]:
-    pts = np.unique(np.round(np.logspace(math.log10(2), math.log10(top), count)).astype(int))
+def _log_spaced(top: int) -> tuple[int, ...]:
+    pts = np.unique(np.round(np.logspace(math.log10(2), math.log10(top), 12)).astype(int))
     return tuple(int(v) for v in pts if v >= 1)

@@ -125,8 +125,16 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return {key: value for key, value in sorted(vars(args).items()) if key not in _UNRECORDED}
 
 
-def _params_or_exit(args, parser, require=("p", "q", "alpha")) -> ParamSpace:
-    for name in require:
+def _refuse_unapplied(args, parser, applied, what: str) -> None:
+    """Exit 2 if a setting was given, by flag or config field, that is not applied."""
+    given = {key for key, value in vars(args).items() if value is not None and key not in _UNRECORDED}
+    unapplied = sorted(given - {"command", "construction", "probes"} - set(applied))
+    if unapplied:
+        parser.error(f"{', '.join('--' + key for key in unapplied)}: not applied by {what}")
+
+
+def _params_or_exit(args, parser) -> ParamSpace:
+    for name in ("p", "q", "alpha"):
         if getattr(args, name, None) is None:
             parser.error(f"missing required flag --{name}")
     try:
@@ -140,11 +148,21 @@ def _params_or_exit(args, parser, require=("p", "q", "alpha")) -> ParamSpace:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# the settings each construction reads
+_CONSTRUCTION_FLAGS = {
+    "sparse": ("n", "L"),
+    "tree": ("n", "p", "q", "alpha", "depth"),
+    "shells": ("p", "alpha", "K"),
+    "power-split": ("n", "p", "q", "alpha", "grid"),
+}
+
+
 def _cmd_construct(args, parser) -> int:
+    name = args.construction
+    _refuse_unapplied(args, parser, _CONSTRUCTION_FLAGS[name], f"the {name} construction")
     # --n defaults to None so that a config file can set it
     if args.n is None:
         args.n = 1
-    name = args.construction
     meta: dict = {"construction": name, "config": _resolved_config(args)}
     function_doc: dict | None = None
     if name == "sparse":
@@ -206,13 +224,13 @@ def _cmd_construct(args, parser) -> int:
         function_doc = {
             "kind": "radial-power",
             "dim": split.dim,
-            "exponent": split.radial_exponent,
+            "exponent": split.function.exponent,
             "inner_cube": {"lower": list(split.inner_cube.lower), "side": split.inner_cube.side},
         }
         meta.update(
             {
                 "grid_base": split.grid_base,
-                "radial_exponent": split.radial_exponent,
+                "radial_exponent": split.function.exponent,
                 "lq_exponent": split.lq_exponent,
                 "ring_score_floor": split.ring_score_floor,
                 "orthant_sphere_measure": split.orthant_sphere_measure,
@@ -307,6 +325,8 @@ def _cmd_verify(args, parser) -> int:
     for name in names:
         if name not in PROBES:
             parser.error(f"unknown probe {name!r}; available: {', '.join(sorted(PROBES))}")
+    taken = {key for name in names for key in inspect.signature(PROBES[name]).parameters}
+    _refuse_unapplied(args, parser, taken, f"probes {', '.join(names)}")
     runs = []
     for name in names:
         probe = PROBES[name]

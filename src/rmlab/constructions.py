@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .funcrep import (
     ParamSpace,
@@ -27,7 +26,7 @@ from .funcrep import (
     StepFunction,
     positive_orthant_sphere_measure,
 )
-from .geometry import Cube, CubeFamily, ring_subdivision
+from .geometry import Cube, CubeFamily
 from .series import power_series_sum, power_series_tail
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "tree_side_length",
     "modification_cutoff",
     "descendant_reach",
-    "descendant_radius",
     "TreeSpacing",
     "TreeConstruction",
     "build_tree",
@@ -80,9 +78,11 @@ def tree_side_length(i: int, dim: int) -> float:
     """Side length of a level-i tree cube: 2**(-(i+1)**2 / (2n)).
 
     It is also the raw (unwidened) per-axis gap between a level-i cube and
-    each of its children.
+    each of its children.  It is formed as 2**-a * 2**(-b/(2n)) with
+    (i+1)**2 = 2n*a + b and b < 2n, so the rounded exponent is below 1 in size.
     """
-    return 2.0 ** (-((i + 1) ** 2) / (2.0 * dim))
+    a, b = divmod((i + 1) ** 2, 2 * dim)
+    return math.ldexp(2.0 ** (-b / (2.0 * dim)), -a)
 
 
 def modification_cutoff(dim: int) -> int:
@@ -106,76 +106,47 @@ def modification_cutoff(dim: int) -> int:
     return max(i - 1, 0)
 
 
-def descendant_reach(
-    level: int,
-    dim: int,
-    distance: Callable[[int], float] | None = None,
-    rel_tol: float = 1e-14,
-) -> float:
-    """Per-axis reach below a level cube: sum over k >= level of d_k + l_{k+1}.
+def descendant_reach(level: int, dim: int) -> float:
+    """Per-axis reach below a level cube of the raw tree: the sum over
+    k >= level of d_k + l_(k+1), with d_k = l_k.
 
-    `distance` may replace the raw gap sequence on an initial segment of
-    indices (as the widening step does); beyond it the raw super-geometric
-    decay bounds the tail, which is summed until it falls below rel_tol of
-    the accumulated value.
+    Term k+1 is at most 2**(-(2k+3)/(2n)) times term k, and the terms with
+    (k+1)**2 - (level+1)**2 > 120n are below 2**-60 of the first, so they
+    are left out; the rest are summed exactly rounded (math.fsum).
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    dist = distance if distance is not None else (lambda k: tree_side_length(k, dim))
-    total = 0.0
-    k = level
-    while True:
-        total += dist(k) + tree_side_length(k + 1, dim)
-        # raw-sequence tail bound: both summand streams beyond k decay at
-        # least geometrically with ratio 2**(-(2k+5)/(2n)); only valid once
-        # the summation has left the (initial-segment) modified range
-        beyond_modified = dist(k + 1) == tree_side_length(k + 1, dim)
-        r = 2.0 ** (-(2 * k + 5) / (2.0 * dim))
-        tail = (tree_side_length(k + 1, dim) + tree_side_length(k + 2, dim)) / (1.0 - r)
-        if beyond_modified and tail <= rel_tol * total and k >= level + 4:
-            return total
-        k += 1
-        if k > level + 100_000:
-            raise RuntimeError("reach summation did not converge")
-
-
-def descendant_radius(
-    level: int,
-    dim: int,
-    distance: Callable[[int], float] | None = None,
-    rel_tol: float = 1e-14,
-) -> float:
-    """Euclidean radius of the descendant set: sqrt(n) times the per-axis reach."""
-    return math.sqrt(dim) * descendant_reach(level, dim, distance, rel_tol)
+    top = math.isqrt((level + 1) ** 2 + 120 * dim)  # the last k + 1 kept
+    lengths = [tree_side_length(k, dim) for k in range(level, top + 1)]
+    return math.fsum(lengths[:-1] + lengths[1:])
 
 
 @dataclass(frozen=True)
 class TreeSpacing:
     """Gap bookkeeping for the descendant tree.
 
-    Levels 0..cutoff carry widened per-axis gaps d_i = 2 * reach(i+1),
-    recomputed from the deepest modified level upward; beyond the cutoff
-    the raw gaps are already safe.  The widening makes the closest-approach
-    gap at level i exactly sqrt(n) * reach(i+1) > 0.
+    Levels 0..cutoff carry widened per-axis gaps d_i = 2 * reach(i+1);
+    beyond the cutoff the raw gaps are already safe.  One backward pass,
+    from the cutoff to level 0, sets d_i and reach(i) = d_i + l_(i+1) +
+    reach(i+1), starting from the raw reach below cutoff + 1, so each
+    widened-level reach is computed once and the closest-approach gap at
+    level i is exactly sqrt(n) * reach(i+1) > 0.
     """
 
     dim: int
     cutoff: int
     widened: tuple[float, ...]  # d_0 .. d_cutoff
+    reaches: tuple[float, ...]  # reach(0) .. reach(cutoff + 1)
 
     @classmethod
-    def build(cls, dim: int, cutoff: int | None = None) -> "TreeSpacing":
-        n0 = modification_cutoff(dim) if cutoff is None else cutoff
-        widened: dict[int, float] = {}
-
-        def dist(k: int) -> float:
-            if k in widened:
-                return widened[k]
-            return tree_side_length(k, dim)
-
+    def build(cls, dim: int) -> "TreeSpacing":
+        n0 = modification_cutoff(dim)
+        reaches = [descendant_reach(n0 + 1, dim)]
+        widened = []
         for i in range(n0, -1, -1):
-            widened[i] = 2.0 * descendant_reach(i + 1, dim, dist)
-        return cls(dim=dim, cutoff=n0, widened=tuple(widened[i] for i in range(n0 + 1)))
+            widened.append(2.0 * reaches[-1])
+            reaches.append(widened[-1] + tree_side_length(i + 1, dim) + reaches[-1])
+        return cls(dim=dim, cutoff=n0, widened=tuple(widened[::-1]), reaches=tuple(reaches[::-1]))
 
     def length(self, i: int) -> float:
         return tree_side_length(i, self.dim)
@@ -187,7 +158,9 @@ class TreeSpacing:
         return tree_side_length(i, self.dim)
 
     def reach(self, i: int) -> float:
-        return descendant_reach(i, self.dim, self.distance)
+        if i <= self.cutoff + 1:
+            return self.reaches[i]
+        return descendant_reach(i, self.dim)
 
     def radius(self, i: int) -> float:
         """Euclidean descendant radius below level i."""
@@ -298,7 +271,7 @@ def tree_level_mass_log2(params: ParamSpace, level: int, q: float) -> float:
     return 0.5 * q * (1.0 / params.p - params.alpha) * level * level - 0.5 * (level + 1) ** 2
 
 
-def tree_descendant_mass_log2(params: ParamSpace, level: int, q: float, rel_tol: float = 1e-16) -> float:
+def tree_descendant_mass_log2(params: ParamSpace, level: int, q: float) -> float:
     """log2 of the |f|**q mass of the full descendant set of one level cube.
 
     The sum over k >= level of 2**(k-level) * h_k**q * l_k**n is assembled
@@ -311,7 +284,7 @@ def tree_descendant_mass_log2(params: ParamSpace, level: int, q: float, rel_tol:
     while True:
         term = 2.0 ** ((k - level) + tree_level_mass_log2(params, k, q) - base)
         ratio_total += term
-        if term <= rel_tol * ratio_total and k >= level + 4:
+        if term <= 1e-16 * ratio_total and k >= level + 4:
             return base + math.log2(ratio_total)
         k += 1
         if k > level + 100_000:
@@ -348,10 +321,6 @@ class PowerSplit:
             raise ValueError("grid base must satisfy N >= 2 and N > sqrt(n)")
 
     @property
-    def radial_exponent(self) -> float:
-        return self.function.exponent
-
-    @property
     def lq_exponent(self) -> float:
         """s_q = q * n * (alpha - 1/p), the exponent of |f|**q."""
         return self.params.q * self.function.exponent
@@ -369,9 +338,6 @@ class PowerSplit:
             raise ValueError("degenerate exponent: q*n*alpha - q*n/p + n must be positive")
         annulus = self.orthant_sphere_measure * (N ** e - math.sqrt(n) ** e) / e
         return (N ** n - 1) ** (1.0 - p / q) * annulus ** (p / q)
-
-    def ring_family(self, i: int) -> CubeFamily:
-        return ring_subdivision(i, self.grid_base, self.dim)
 
 
 def power_split(grid_base: int, dim: int, params: ParamSpace) -> PowerSplit:
@@ -436,7 +402,7 @@ class ShellConstruction:
         return self.set_measure / 2.0
 
 
-def shell_thresholds(p: float, alpha: float, count: int, dim: int = 1) -> ShellConstruction:
+def shell_thresholds(p: float, alpha: float, count: int) -> ShellConstruction:
     """Thresholds t_k = tail(k+1) / (2Z) for E = [-1, 1].
 
     g(t) = |[-t, t] intersect E| = 2t must equal (|E|/2) * tail(k+1)/Z,
@@ -444,8 +410,6 @@ def shell_thresholds(p: float, alpha: float, count: int, dim: int = 1) -> ShellC
     t_k is the closed-form root of a linear equation.  Requires p*alpha in
     (0, 1) so that the series normalizer converges.
     """
-    if dim != 1:
-        raise ValueError("shell thresholds are implemented for dimension 1 only")
     if not 0.0 < p * alpha < 1.0:
         raise ValueError(f"need 0 < p*alpha < 1 for a convergent normalizer, got p*alpha={p * alpha}")
     if count < 1:

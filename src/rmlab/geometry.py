@@ -19,7 +19,6 @@ __all__ = [
     "CubeFamily",
     "Domain",
     "DimensionMismatchError",
-    "interiors_disjoint",
     "box_distance",
     "dyadic_children",
     "ring_subdivision",
@@ -166,16 +165,6 @@ _FACE_SLACK = 8.0 * np.finfo(float).eps
 
 # Candidate pairs tested at once by interiors_pairwise_disjoint; bounds its memory.
 _SWEEP_BATCH = 1 << 16
-
-
-def interiors_disjoint(a: Cube, b: Cube) -> bool:
-    """True iff the open boxes do not intersect (shared faces allowed).
-
-    Overlaps within a few ulps of the coordinate scale are treated as
-    shared faces, so grid cells built from edge arithmetic test disjoint.
-    This is :func:`interiors_pairwise_disjoint` on the pair.
-    """
-    return interiors_pairwise_disjoint((a, b))
 
 
 def box_distance(a: Cube, b: Cube) -> float:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimate import LOWER_BOUND, NormEstimate
-from .funcrep import FunctionLike, ParamSpace, StepFunction, grid_cell_values, lq_norm_on_cube
+from .funcrep import FunctionLike, ParamSpace, RadialPower, StepFunction, grid_cell_values, lq_norm_on_cube
 from .geometry import Cube, CubeFamily, Domain, dyadic_children, interiors_pairwise_disjoint
 
 __all__ = [
@@ -53,7 +53,8 @@ def rm_score(
     """Exact family score sum_i |Q_i|**(1-p*alpha-p/q) * ||f||_{L^q(Q_i)}**p.
 
     Zero-mass cubes contribute zero regardless of the volume exponent.
-    Raises if the family has overlapping interiors or leaves the domain.
+    Raises if the family has overlapping interiors or leaves the domain,
+    or if the score overflows a double.
     """
     if math.isinf(params.p):
         raise ValueError("family scores need finite p; use the single-cube norm for p = inf")
@@ -66,11 +67,23 @@ def rm_score(
                 raise ValueError(f"cube {c} is not inside the domain")
     e = params.score_exponent
     total = 0.0
-    for c in cubes:
-        norm_q = lq_norm_on_cube(f, c, params.q)
-        if norm_q > 0.0:
-            total += c.volume ** e * norm_q ** params.p
+    try:
+        with np.errstate(over="ignore"):
+            for c in cubes:
+                norm_q = lq_norm_on_cube(f, c, params.q)
+                if norm_q > 0.0:
+                    total += c.volume ** e * norm_q ** params.p
+    except OverflowError:
+        total = math.inf
+    _refuse_overflow(total, f, params.q)
     return total
+
+
+def _refuse_overflow(score: float, f: FunctionLike, q: float) -> None:
+    """ValueError if the score is infinite by overflow.  Only the sup (q = inf)
+    of a radial power with a negative exponent is truly infinite."""
+    if math.isinf(score) and not (math.isinf(q) and isinstance(f, RadialPower) and f.exponent < 0.0):
+        raise ValueError("the score overflows a double")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,8 @@ def rm_norm_dyadic(
     and the mass pyramid and the keep-or-split sweep work on every grid
     at once.  A pass holds at most _PASS_CELLS finest cells, or one grid
     when a grid alone has more.  Keep-whole arrays are built for the
-    last horizon only, the one the certificate is read from.
+    last horizon only, the one the certificate is read from.  Raises
+    ValueError if the best score overflows a double.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")
@@ -179,37 +193,39 @@ def rm_norm_dyadic(
     best_value = -1.0
     best_family: CubeFamily = CubeFamily(())
     per_pass = max(1, _PASS_CELLS >> (n * depth))
-    for first in range(0, len(origins), per_pass):
-        batch = origins[first:first + per_pass]
-        values = grid_cell_values(f, batch, root.side / (1 << depth), 1 << depth, params.q)
-        scores = []
-        for d in range(depth, -1, -1):
-            scores.append(_scores((root.side / (1 << d)) ** n, values, params))
-            if d:
-                values = _coarsen(values, combine)
-        scores.reverse()
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite score, refused below
+        for first in range(0, len(origins), per_pass):
+            batch = origins[first:first + per_pass]
+            values = grid_cell_values(f, batch, root.side / (1 << depth), 1 << depth, params.q)
+            scores = []
+            for d in range(depth, -1, -1):
+                scores.append(_scores((root.side / (1 << d)) ** n, values, params))
+                if d:
+                    values = _coarsen(values, combine)
+            scores.reverse()
 
-        # horizons before the last need only each grid's best score
-        for horizon in range(depth):
-            best = scores[horizon]
-            for d in range(horizon - 1, -1, -1):
-                best = np.maximum(scores[d], _coarsen(best, np.add))
-            best_by_depth[horizon] = max(best_by_depth[horizon], float(best.max()))
-        best = scores[depth]
-        keep = [np.ones(best.shape, dtype=bool)]
-        for d in range(depth - 1, -1, -1):
-            split = _coarsen(best, np.add)
-            keep.append(scores[d] >= split)
-            best = np.where(keep[-1], scores[d], split)
-        keep.reverse()
-        best = best.reshape(-1)
-        g = int(np.argmax(best))  # the first best grid, as the strict > keeps the first across passes
-        best_by_depth[depth] = max(best_by_depth[depth], float(best[g]))
-        if best[g] > best_value:
-            best_value = float(best[g])
-            best_family = _read_family(
-                tuple(batch[g].tolist()), root.side, [s[g] for s in scores], [k[g] for k in keep]
-            )
+            # horizons before the last need only each grid's best score
+            for horizon in range(depth):
+                best = scores[horizon]
+                for d in range(horizon - 1, -1, -1):
+                    best = np.maximum(scores[d], _coarsen(best, np.add))
+                best_by_depth[horizon] = max(best_by_depth[horizon], float(best.max()))
+            best = scores[depth]
+            keep = [np.ones(best.shape, dtype=bool)]
+            for d in range(depth - 1, -1, -1):
+                split = _coarsen(best, np.add)
+                keep.append(scores[d] >= split)
+                best = np.where(keep[-1], scores[d], split)
+            keep.reverse()
+            best = best.reshape(-1)
+            g = int(np.argmax(best))  # the first best grid, as the strict > keeps the first across passes
+            best_by_depth[depth] = max(best_by_depth[depth], float(best[g]))
+            if best[g] > best_value:
+                best_value = float(best[g])
+                best_family = _read_family(
+                    tuple(batch[g].tolist()), root.side, [s[g] for s in scores], [k[g] for k in keep]
+                )
+    _refuse_overflow(best_value, f, params.q)
 
     running = np.maximum.accumulate(best_by_depth).tolist()
     trace = tuple((float(d), v ** (1.0 / params.p)) for d, v in enumerate(running))
@@ -231,6 +247,7 @@ def rm_norm_intervals_1d(f: FunctionLike, root: Cube, grid_cells: int, params: P
     (Jackson et al., IEEE SPL 2005).  The masses of [i, j) for a fixed j
     accumulate over the finest cells from j leftwards, so no prefix sums
     are differenced.  Zero-mass intervals are left out of the certificate.
+    Raises ValueError if the best score overflows a double.
     """
     if root.dim != 1:
         raise ValueError("the interval DP is one-dimensional")
@@ -242,17 +259,18 @@ def rm_norm_intervals_1d(f: FunctionLike, root: Cube, grid_cells: int, params: P
     lo = root.lower[0]
     w = root.side / m
     edges = lo + w * np.arange(m + 1, dtype=float)
-    cells = grid_cell_values(f, np.array([[lo]]), w, m, params.q)[0]
     combine = np.maximum if math.isinf(params.q) else np.add
-
     best = np.zeros(m + 1)
     start = np.zeros(m + 1, dtype=np.int64)
-    for j in range(1, m + 1):
-        # mass and score of [i, j) for i = 0..j-1
-        mass = combine.accumulate(cells[j - 1::-1])[::-1]
-        total = best[:j] + _scores(edges[j] - edges[:j], mass, params)
-        start[j] = np.argmax(total)
-        best[j] = total[start[j]]
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite score, refused below
+        cells = grid_cell_values(f, np.array([[lo]]), w, m, params.q)[0]
+        for j in range(1, m + 1):
+            # mass and score of [i, j) for i = 0..j-1
+            mass = combine.accumulate(cells[j - 1::-1])[::-1]
+            total = best[:j] + _scores(edges[j] - edges[:j], mass, params)
+            start[j] = np.argmax(total)
+            best[j] = total[start[j]]
+    _refuse_overflow(float(best[m]), f, params.q)
     pieces = []
     j = m
     while j:
@@ -269,18 +287,16 @@ def rm_norm_intervals_1d(f: FunctionLike, root: Cube, grid_cells: int, params: P
 # specializations and dispatch
 # ---------------------------------------------------------------------------
 
-def riesz_norm(
-    f: FunctionLike, root: Cube, p: float, depth: int, offsets: Sequence[float] = (0.0,)
-) -> NormEstimate:
+def riesz_norm(f: FunctionLike, root: Cube, p: float, depth: int) -> NormEstimate:
     """Partition norm at (p, q=1, alpha=0): sum |Q_i| (average |f| on Q_i)**p.
 
     At a depth resolving the constancy scale of a step function this equals
-    the L^p norm on the root.  Offsets default to the aligned grid so the
+    the L^p norm on the root.  The one grid is the aligned one, so the
     certificate stays inside the root cube.
     """
     if not 1.0 < p < math.inf:
         raise ValueError("Riesz norm needs p in (1, inf)")
-    return rm_norm_dyadic(f, root, depth, ParamSpace(p, 1.0, 0.0), offsets=offsets)
+    return rm_norm_dyadic(f, root, depth, ParamSpace(p, 1.0, 0.0), offsets=(0.0,))
 
 
 def morrey_norm_estimate(

@@ -36,25 +36,25 @@ def _tail_with_bound(exponent: float, start: int) -> tuple[float, float]:
     return estimate, bound
 
 
-def power_series_tail(exponent: float, start: int, rel_scale: float = 1.0, tol: float = 1e-10) -> float:
-    """Sum over j > start of j**exponent, to absolute accuracy tol * rel_scale."""
+def power_series_tail(exponent: float, start: int, rel_scale: float = 1.0) -> float:
+    """Sum over j > start of j**exponent, to absolute accuracy 1e-10 * rel_scale."""
     if exponent >= -1.0:
         raise ValueError(f"series with exponent {exponent} diverges")
     m = max(int(start), 1)
     extra = 0.0
     while True:
         est, bound = _tail_with_bound(exponent, m)
-        if bound <= tol * max(rel_scale, abs(est + extra), 1e-300):
+        if bound <= 1e-10 * max(rel_scale, abs(est + extra), 1e-300):
             return extra + est
         step = m
         extra += float(np.sum(np.arange(m + 1, m + step + 1, dtype=float) ** exponent))
         m += step
 
 
-def power_series_sum(exponent: float, tol: float = 1e-10) -> float:
+def power_series_sum(exponent: float) -> float:
     """Full series sum over j >= 1 of j**exponent (exponent < -1)."""
     if exponent >= -1.0:
         raise ValueError(f"series with exponent {exponent} diverges")
     head_terms = 64
     head = partial_power_sum(exponent, head_terms)
-    return head + power_series_tail(exponent, head_terms, rel_scale=head, tol=tol)
+    return head + power_series_tail(exponent, head_terms, rel_scale=head)

@@ -67,61 +67,58 @@ class ProbeResult:
 # random generators (seeded, shared with the test suite)
 # ---------------------------------------------------------------------------
 
-def random_dyadic_step(
-    rng: np.random.Generator,
-    root: Cube,
-    depth: int,
-    zero_fraction: float = 0.25,
-    height_max: float = 3.0,
-) -> StepFunction:
-    """Step function constant on the depth-level dyadic cells of the root."""
+def random_dyadic_step(rng: np.random.Generator, root: Cube, depth: int) -> StepFunction:
+    """Step function constant on the depth-level dyadic cells of the root: a
+    cell is zero with chance 1/4, else its height is uniform in [0.05, 3)."""
     n = root.dim
     cells_per_axis = 1 << depth
     w = root.side / cells_per_axis
     pieces = []
     for idx in np.ndindex(*(cells_per_axis,) * n):
-        if rng.random() < zero_fraction:
+        if rng.random() < 0.25:
             continue
-        h = float(rng.uniform(0.05, height_max))
+        h = float(rng.uniform(0.05, 3.0))
         lo = tuple(root.lower[j] + idx[j] * w for j in range(n))
         pieces.append((Cube(lo, w), h))
     if not pieces:
         lo = tuple(root.lower)
-        pieces.append((Cube(lo, w), float(rng.uniform(0.05, height_max))))
+        pieces.append((Cube(lo, w), float(rng.uniform(0.05, 3.0))))
     return StepFunction(tuple(pieces))
 
 
-def random_step_function(
-    rng: np.random.Generator, dim: int, max_pieces: int = 12, span: float = 8.0
-) -> StepFunction:
-    """Disjoint random supports placed on a jittered coarse lattice."""
-    count = int(rng.integers(1, max_pieces + 1))
+# side of the cube [-_SPAN/2, _SPAN/2]**n that holds random_step_function's pieces
+_SPAN = 8.0
+
+
+def random_step_function(rng: np.random.Generator, dim: int) -> StepFunction:
+    """One to twelve disjoint random supports on a jittered coarse lattice in
+    [-_SPAN/2, _SPAN/2]**n."""
+    count = int(rng.integers(1, 13))
     base = 16 if dim == 1 else 6
     cells = rng.choice(base ** dim, size=count, replace=False)
     pieces = []
-    cell_w = span / base
+    cell_w = _SPAN / base
     for c in cells.tolist():
         idx = [0] * dim  # the C-order lattice index of cell c
         for j in range(dim - 1, -1, -1):
             c, idx[j] = divmod(c, base)
         side = cell_w * float(rng.uniform(0.2, 0.95))
         lo = tuple(
-            -0.5 * span + idx[j] * cell_w + float(rng.uniform(0.0, cell_w - side))
+            -0.5 * _SPAN + idx[j] * cell_w + float(rng.uniform(0.0, cell_w - side))
             for j in range(dim)
         )
         pieces.append((Cube(lo, side), float(rng.uniform(0.05, 4.0))))
     return StepFunction(tuple(pieces))
 
 
-def random_dyadic_partition(
-    rng: np.random.Generator, root: Cube, max_depth: int = 4, split_prob: float = 0.55
-) -> CubeFamily:
-    """Random recursive dyadic partition of the root cube."""
+def random_dyadic_partition(rng: np.random.Generator, root: Cube, max_depth: int = 4) -> CubeFamily:
+    """Random recursive dyadic partition of the root cube: each cube less
+    than max_depth levels down splits with chance 0.55."""
     cells: list[Cube] = []
     stack = [(root, 0)]
     while stack:
         cube, d = stack.pop()
-        if d < max_depth and rng.random() < split_prob:
+        if d < max_depth and rng.random() < 0.55:
             stack.extend((kid, d + 1) for kid in dyadic_children(cube))
         else:
             cells.append(cube)
@@ -345,8 +342,7 @@ def verify_embedding(seed: int = 23) -> ProbeResult:
         dim = 1 if i % 3 else 2
         params = random_intermediate_params(rng)
         f = random_step_function(rng, dim)
-        span = 8.0
-        root = Cube((-0.5 * span,) * dim, span)
+        root = Cube((-0.5 * _SPAN,) * dim, _SPAN)
         fam = random_dyadic_partition(rng, root, max_depth=3 if dim == 1 else 2)
         score = rm_score(f, fam, params, check=False) ** (1.0 / params.p)
         bound = lebesgue_norm(f, Domain.whole_space(dim), params.theta).value

@@ -119,6 +119,28 @@ class TestConstructCommand:
         assert abs(doc["ring_score_floor"] - 0.5727893178824464) < 1e-12
 
 
+    @pytest.mark.parametrize("flags,config", [
+        (["sparse", "--L", "3", "--depth", "5"], None),
+        (["sparse", "--L", "3", "--K", "9"], None),
+        (["shells", "--p", "1", "--q", "2", "--alpha", "0.25", "--K", "5"], None),
+        (["shells", "--p", "1", "--alpha", "0.25", "--K", "5", "--n", "1"], None),
+        (["tree", "--depth", "2", "--p", "2", "--q", "1", "--alpha", "-0.25", "--grid", "2"], None),
+        (["power-split", "--p", "2", "--q", "1", "--alpha", "-0.25", "--L", "4"], None),
+        (["sparse", "--L", "3"], {"depth": 5}),
+    ], ids=["sparse-depth", "sparse-K", "shells-q", "shells-n", "tree-grid", "power-split-L", "config-field"])
+    def test_unread_setting_exits_2(self, tmp_path, capsys, flags, config):
+        argv = ["construct", *flags, "-o", str(tmp_path / "f.json")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not applied by the" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+
 class TestNormCommand:
     def test_power_split_roundtrips_into_norm(self, tmp_path, capsys):
         from rmlab import Cube, ParamSpace, RadialPower, rm_norm_dyadic
@@ -231,6 +253,20 @@ class TestNormCommand:
         assert code == 0
         assert json.loads(out)["value"] > 0.0
 
+    def test_overflowing_score_exits_2(self, tmp_path, capsys):
+        # level-12 heights are 1.8e16, and 1.8e16**20 overflows a double
+        fn = tmp_path / "tree.json"
+        code, _ = run_cli(["construct", "tree", "--n", "1", "--depth", "12", "--p", "2", "--q", "1",
+                           "--alpha", "-0.25", "-o", str(fn)], capsys)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", "30", "--q", "20", "--alpha", "-0.01",
+                  "--depth", "12", "--offsets", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "overflows a double" in captured.err
+        assert captured.out == ""
+
     def test_certificate_csv(self, tmp_path, capsys):
         fn = tmp_path / "f.json"
         run_cli(["construct", "sparse", "--L", "5", "-o", str(fn)], capsys)
@@ -317,6 +353,26 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "prop-q", "--p", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["lem1e", "--depth", "3"],
+        ["lem1e", "prop-rn", "--seed", "1"],
+        ["classify-sweep", "--grid", "8"],
+    ])
+    def test_flag_no_named_probe_takes_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv, "-o", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "not applied by probes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_field_no_named_probe_takes_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": 3}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lem1e", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "--depth: not applied by probes lem1e" in capsys.readouterr().err
 
     def test_unknown_probe_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,6 @@ import pytest
 from rmlab.constructions import (
     TreeSpacing,
     build_tree,
-    descendant_radius,
     descendant_reach,
     modification_cutoff,
     power_split,
@@ -21,6 +20,7 @@ from rmlab.geometry import (
     Domain,
     box_distance,
     interiors_pairwise_disjoint,
+    ring_subdivision,
 )
 from rmlab.norms import rm_score
 from rmlab.series import power_series_tail
@@ -108,7 +108,7 @@ class TestDescendantRadius:
                     tree_side_length(k, dim) + tree_side_length(k + 1, dim)
                     for k in range(level, level + 200)
                 )
-                assert descendant_radius(level, dim) == pytest.approx(manual, rel=1e-13)
+                assert math.sqrt(dim) * descendant_reach(level, dim) == pytest.approx(manual, rel=1e-13)
 
     def test_truncation_insensitive(self):
         manual_64 = math.sqrt(1) * sum(
@@ -134,8 +134,19 @@ class TestDescendantRadius:
             assert t == power_series_tail(sc.exponent, k, rel_scale=z) / (2.0 * z)
 
     def test_strictly_decreasing(self):
-        vals = [descendant_radius(i, 1) for i in range(3, 12)]
+        vals = [descendant_reach(i, 1) for i in range(3, 12)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for dim in (1, 2, 3):
+            def side(k):
+                return mpmath.power(2, -mpmath.mpf((k + 1) ** 2) / (2 * dim))
+
+            for level in range(21):
+                with mpmath.workdps(50):
+                    want = mpmath.nsum(lambda k: side(int(k)) + side(int(k) + 1), [level, mpmath.inf])
+                    assert abs(descendant_reach(level, dim) / want - 1) <= 1e-15, (dim, level)
 
 
 class TestModifyDistances:
@@ -150,9 +161,7 @@ class TestModifyDistances:
         # with the doubling rule the gap equals sqrt(n) * reach(i+1) exactly
         spacing = TreeSpacing.build(dim)
         for i in range(spacing.cutoff + 1):
-            assert spacing.gap(i) == pytest.approx(
-                math.sqrt(dim) * spacing.reach(i + 1), rel=1e-14
-            )
+            assert spacing.gap(i) == math.sqrt(dim) * spacing.reach(i + 1)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_raw_range_gap_above_half_distance(self, dim):
@@ -289,7 +298,7 @@ class TestPowerSplit:
         split = power_split(base, dim, params)
         floor = split.ring_score_floor
         for i in range(-3, 4):
-            fam = split.ring_family(i)
+            fam = ring_subdivision(i, base, dim)
             score = rm_score(split.function, fam, params, check=False)
             assert score >= floor * (1.0 - 1e-7)
 
@@ -297,7 +306,7 @@ class TestPowerSplit:
         # n=1, N=2: single ring cube and the annulus equals the ring exactly
         split = power_split(2, 1, INTERMEDIATE)
         for i in (-2, 0, 3):
-            score = rm_score(split.function, split.ring_family(i), INTERMEDIATE, check=False)
+            score = rm_score(split.function, ring_subdivision(i, 2, 1), INTERMEDIATE, check=False)
             assert score == pytest.approx(split.ring_score_floor, rel=1e-10)
 
     def test_theta_norm_on_ring_at_the_critical_exponent(self):
@@ -305,10 +314,10 @@ class TestPowerSplit:
         # the scale-free integral (pi/2) ln 2 of the annulus between radii 1 and 2
         split = power_split(2, 2, INTERMEDIATE)
         theta = INTERMEDIATE.theta
-        assert split.radial_exponent * theta == -2.0
+        assert split.function.exponent * theta == -2.0
         want = shell_integral_radial(-2.0, 1.0, 2.0, 2)
         for i in (-3, 0, 2):
-            got = sum(lq_norm_on_cube(split.function, cube, theta) ** theta for cube in split.ring_family(i))
+            got = sum(lq_norm_on_cube(split.function, cube, theta) ** theta for cube in ring_subdivision(i, 2, 2))
             assert got == pytest.approx(want, rel=1e-12)
         quad = pytest.importorskip("scipy.integrate").quad
         # integral over [1, 2]^2 of 1/(x^2 + y^2) = int_1^2 (atan(2/x) - atan(1/x)) / x dx
@@ -323,10 +332,10 @@ class TestPowerSplit:
         theta = INTERMEDIATE.theta
 
         def ring_partial(theta_prime, rings):
-            t = split.radial_exponent * theta_prime
+            t = split.function.exponent * theta_prime
             total = 0.0
             for i in range(-rings, 0):
-                for cube in split.ring_family(i):
+                for cube in ring_subdivision(i, 2, 1):
                     total += lq_norm_on_cube(split.function, cube, theta_prime) ** theta_prime
             return total
 

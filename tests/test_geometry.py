@@ -13,7 +13,6 @@ from rmlab.geometry import (
     Domain,
     box_distance,
     dyadic_children,
-    interiors_disjoint,
     interiors_pairwise_disjoint,
     overlap_volume,
     ring_subdivision,
@@ -86,13 +85,13 @@ class TestCube:
 
 class TestDisjointness:
     def test_examples(self):
-        assert interiors_disjoint(Cube((0.0,), 1.0), Cube((1.0,), 1.0))
-        assert not interiors_disjoint(Cube((0.0,), 1.0), Cube((0.5,), 1.0))
-        assert interiors_disjoint(Cube((0.0, 0.0), 1.0), Cube((2.0, 2.0), 1.0))
+        assert interiors_pairwise_disjoint((Cube((0.0,), 1.0), Cube((1.0,), 1.0)))
+        assert not interiors_pairwise_disjoint((Cube((0.0,), 1.0), Cube((0.5,), 1.0)))
+        assert interiors_pairwise_disjoint((Cube((0.0, 0.0), 1.0), Cube((2.0, 2.0), 1.0)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            interiors_disjoint(Cube((0.0,), 1.0), Cube((0.0, 0.0), 1.0))
+            interiors_pairwise_disjoint((Cube((0.0,), 1.0), Cube((0.0, 0.0), 1.0)))
 
     def test_pairwise_matches_pair_function(self):
         rng = np.random.default_rng(1)
@@ -103,7 +102,7 @@ class TestDisjointness:
             ]
             pairs = [(a, b) for i, a in enumerate(cubes) for b in cubes[i + 1 :]]
             expected = [disjoint_pair_reference(a, b) for a, b in pairs]
-            assert [interiors_disjoint(a, b) for a, b in pairs] == expected
+            assert [interiors_pairwise_disjoint((a, b)) for a, b in pairs] == expected
             assert interiors_pairwise_disjoint(cubes) == all(expected)
 
     def test_touching_row_with_one_overlap(self):

@@ -190,6 +190,40 @@ def unravel_step_function(rng, dim, max_pieces=12, span=8.0):
     return StepFunction(tuple(pieces))
 
 
+class TestScoreOverflow:
+    """A score past the double range raises ValueError: an infinite lower
+    bound would not re-score from its certificate."""
+
+    def test_tree_heights_to_the_twentieth_power(self):
+        # level-12 heights are 2**54 = 1.8e16, and 1.8e16**20 overflows
+        tree = build_tree(1, 12, ParamSpace(2.0, 1.0, -0.25))
+        f, params = tree_function(tree), ParamSpace(30.0, 20.0, -0.01)
+        with pytest.raises(ValueError, match="overflows a double"):
+            rm_norm_dyadic(f, tree.domain, 12, params, offsets=(0.0,))
+        with pytest.raises(ValueError, match="overflows a double"):
+            rm_norm_intervals_1d(f, tree.domain, 64, params)
+        with pytest.raises(ValueError, match="overflows a double"):
+            rm_score(f, [c for c, _ in f.pieces], params)
+
+    def test_finite_masses_with_an_overflowing_score(self):
+        # the mass 1e200 is finite; its square is not
+        f = StepFunction(((UNIT, 1e200),))
+        with pytest.raises(ValueError, match="overflows a double"):
+            rm_score(f, [UNIT], RIESZ2)
+        with pytest.raises(ValueError, match="overflows a double"):
+            rm_norm_dyadic(f, UNIT, 3, RIESZ2)
+        with pytest.raises(ValueError, match="overflows a double"):
+            rm_norm_intervals_1d(f, UNIT, 8, RIESZ2)
+
+    def test_unbounded_sup_stays_infinite(self):
+        # |x|**-1 is unbounded on the cell at the origin: an infinite score, not an overflow
+        params = ParamSpace(2.0, math.inf, -0.3)
+        f = RadialPower(-1.0, 2)
+        est = rm_norm_dyadic(f, Cube((0.0, 0.0), 1.0), 2, params, offsets=(0.0,))
+        assert est.value == math.inf
+        assert rm_score(f, est.certificate, params) == math.inf
+
+
 class TestRandomStepFunction:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 23, 2024])
