@@ -262,8 +262,17 @@ def _read_function(text: str) -> tuple[FunctionLike, Cube]:
     return f, Cube(tuple(lo), float(np.max(hi - lo)))
 
 
+# the settings both branches of `rmlab norm` read
+_NORM_FLAGS = ("p", "q", "alpha", "function", "depth", "root", "side")
+
+
 def _cmd_norm(args, parser) -> int:
     params = _params_or_exit(args, parser)
+    # --domain reaches only the single-cube estimate, --offsets only the dyadic DP
+    if math.isinf(params.p):
+        _refuse_unapplied(args, parser, _NORM_FLAGS + ("domain",), "the single-cube estimate (p = inf)")
+    else:
+        _refuse_unapplied(args, parser, _NORM_FLAGS + ("offsets",), "the dyadic DP (finite p)")
     if args.function is None:
         parser.error("missing required flag --function")
     try:

@@ -254,16 +254,12 @@ def grid_cell_values(
 
     `origins` has shape (G, n), one grid per row; the result has shape
     (G,) + (cells,) * n, and cube i (a multi-index) of grid g has lower
-    corner origins[g] + width * i and side width.  Step functions are
-    scattered: per axis and per distinct origin on that axis, the (piece,
-    cell, overlap width) triples of the cells a piece meets, joined per
-    piece over the axes and summed by bincount (max for q = inf) into the
-    product of the axes' distinct origins, from which each grid's cells
-    are read.  The work grows with the cells covered, not pieces x cells,
-    and each cell adds its terms in piece order, as with one grid alone.
-    Radial powers send every cell of every grid through one quadrature
-    batch (power_integrals), a cell on the origin corner as its ring of
-    regular boxes; for q = inf the sup is read off each cell's corners.
+    corner origins[g] + width * i and side width.  Step functions sum
+    (take the max of) their `_step_cell_pairs` by bincount, each cell in
+    piece order, as with one grid alone.  Radial powers send every cell
+    of every grid through one quadrature batch (power_integrals), a cell
+    on the origin corner as its ring of regular boxes; for q = inf the
+    sup is read off each cell's corners.
     """
     origins = np.asarray(origins, dtype=float)
     grids, n = origins.shape
@@ -275,11 +271,37 @@ def grid_cell_values(
         return _radial_cell_values(f, lows.reshape(-1, n), width, q).reshape((grids,) + shape)
     if not isinstance(f, StepFunction):
         raise TypeError(f"cannot integrate {type(f).__name__}")
+    piece, flat, vol = _step_cell_pairs(f, origins, width, cells)
+    heights = f._arrays[2]
+    size = grids * cells ** n
+    if math.isinf(q):
+        out = np.zeros(size)
+        np.maximum.at(out, flat, heights[piece])
+    else:
+        # a bincount of no pairs (a function without pieces) is an integer array
+        out = np.bincount(flat, weights=heights[piece] ** q * vol, minlength=size).astype(float, copy=False)
+    return out.reshape((grids,) + shape)
+
+
+def _step_cell_pairs(
+    f: StepFunction, origins: np.ndarray, width: float, cells: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(piece, flat, volume) of every piece and grid cell that meet in positive volume.
+
+    The grids are those of grid_cell_values; `flat` indexes their cells,
+    (G,) + (cells,) * n in C order, and the pairs of one cell come in
+    piece order.  The pairs are scattered per axis and per distinct
+    origin on that axis: the (piece, cell, overlap width) triples of the
+    cells a piece meets, joined per piece over the axes into the product
+    of the axes' distinct origins, from which each grid takes its row.
+    The work grows with the cells covered, not pieces x cells.
+    """
+    grids, n = origins.shape
     if not f.pieces:
-        return np.zeros((grids,) + shape)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     if f.dim != n:
         raise DimensionMismatchError("grid dim != function dim")
-    lows, sides, heights = f._arrays
+    lows, sides, _ = f._arrays
     columns = origins.T.tolist()
     axes = [list(dict.fromkeys(column)) for column in columns]  # distinct origins per axis
     counts = [len(at) for at in axes]
@@ -292,19 +314,16 @@ def grid_cell_values(
         # the origins' parts hold disjoint cells, so each cell's terms stay in piece order
         triples = parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
     piece, flat, vol = triples
-    size = math.prod(counts) * cells ** n
-    if math.isinf(q):
-        out = np.zeros(size)
-        np.maximum.at(out, flat, heights[piece])
-    else:
-        out = np.bincount(flat, weights=heights[piece] ** q * vol, minlength=size)
     rows = [0] * grids  # each grid's C index into tuple(counts)
     for at, column in zip(axes, columns):
         rows = [r * len(at) + at.index(v) for r, v in zip(rows, column)]
-    out = out.reshape(-1, cells ** n)
-    if rows != list(range(len(out))):
-        out = out[rows]
-    return out.reshape((grids,) + shape)
+    if rows != list(range(math.prod(counts))):
+        per_grid = cells ** n
+        hits = [np.flatnonzero(flat // per_grid == r) for r in rows]
+        take = np.concatenate(hits)
+        piece, vol = piece[take], vol[take]
+        flat = flat[take] % per_grid + np.repeat(np.arange(grids) * per_grid, [len(h) for h in hits])
+    return piece, flat, vol
 
 
 def _scatter_axis(

@@ -21,8 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from .estimate import LOWER_BOUND, NormEstimate
-from .funcrep import FunctionLike, ParamSpace, RadialPower, StepFunction, grid_cell_values, lq_norm_on_cube
-from .geometry import Cube, CubeFamily, Domain, dyadic_children, interiors_pairwise_disjoint
+from .funcrep import (
+    FunctionLike,
+    ParamSpace,
+    RadialPower,
+    StepFunction,
+    _step_cell_pairs,
+    grid_cell_values,
+    lq_norm_on_cube,
+)
+from .geometry import Cube, CubeFamily, Domain, _overlap_widths, dyadic_children, interiors_pairwise_disjoint
 
 __all__ = [
     "rm_score",
@@ -108,6 +116,9 @@ def _scores(volume: float | np.ndarray, mass: np.ndarray, params: ParamSpace) ->
 _EVEN, _ODD = (tuple((slice(None),) * j + (slice(b, None, 2),) for j in range(25)) for b in (0, 1))
 # finest cells the DP holds per pass over its grids; a larger grid gets a pass of its own
 _PASS_CELLS = 1 << 16
+# a step function's dense levels stop at 2**_TOP_BITS cells per grid; below
+# them only the cells a piece face cuts are refined
+_TOP_BITS = 12
 
 
 def _coarsen(a: np.ndarray, combine: np.ufunc) -> np.ndarray:
@@ -125,15 +136,183 @@ def _coarsen(a: np.ndarray, combine: np.ufunc) -> np.ndarray:
     return a
 
 
+def _pair_sums(a: np.ndarray, kids: int, combine: np.ufunc) -> np.ndarray:
+    """Combine each run of `kids` children on the last axis into its parent,
+    in _coarsen's pairing order: the children are in C order of their axis
+    bits, so adjacent ones differ in the last axis's bit."""
+    a = a.reshape(a.shape[:-1] + (-1, kids))
+    while a.shape[-1] > 1:
+        a = combine(a[..., 0::2], a[..., 1::2])
+    return a[..., 0]
+
+
+class _Tail:
+    """A step function's DP from its top level down, for the grids of one pass.
+
+    Only the mixed cells get children: those that two or more pieces
+    meet, or one piece that does not cover them.  A pure cell, which one
+    piece covers and no other meets, has its best subtree in closed form:
+    splitting it multiplies its score by 2**(n*p*alpha), so at horizon H
+    a pure cell of level d is worth its score for alpha <= 0 (kept whole,
+    as the dense tie rule keeps it) and score * 2**(n*p*alpha*(H - d))
+    for alpha > 0 (split down to the horizon).  Empty cells drop out.  A
+    cell's lower corner is origin + w * i at every level, as in the dense
+    levels, and the mass of a mixed cell is summed up from its children in
+    _coarsen's order.
+
+    Level top + k holds the arrays mass[k] (integral |f|**q, or sup |f|
+    for q = inf), pure[k] (exactly one piece meets the cell, and it
+    covers the cell), mixed[k] (the rows refined one level further),
+    score[k] and keep[k] (kept whole at the last horizon) over its rows.
+    At the top the rows are the top cells a piece meets; below it they
+    are the 2**n children, empty ones too, of each mixed cell one level
+    up, in blocks of 2**n in the order of those parents, so that row r's
+    parent is the (r >> n)-th.
+    """
+
+    def __init__(self, f: StepFunction, origins: np.ndarray, side: float, top: int, depth: int,
+                 params: ParamSpace, top_mass: np.ndarray):
+        """`top_mass` holds the grids' top-level masses from grid_cell_values;
+        the masses of the mixed top cells in it are replaced by the sums of
+        their children."""
+        n = origins.shape[1]
+        kids, cells = 1 << n, 1 << top
+        self.n, self.top, self.depth, self.params = n, top, depth, params
+        lows, sides, heights = f._arrays
+        lows = lows.reshape(len(sides), n)  # (0, n) for a function without pieces
+        weight = heights if math.isinf(params.q) else heights ** params.q
+        # the pairs (row, piece, volume) of the top cells a piece meets
+        piece, flat, vol = _step_cell_pairs(f, origins, side / cells, cells)
+        live = heights[piece] > 0.0
+        piece, flat, vol = piece[live], flat[live], vol[live]
+        met = np.bincount(flat, minlength=top_mass.size) > 0
+        self.top_cells = np.flatnonzero(met)  # grid * cells**n + C index of the cell
+        row = (np.cumsum(met) - 1)[flat]
+        grid, index = np.divmod(self.top_cells, cells ** n)
+        idx = list(np.unravel_index(index, (cells,) * n))
+        full = np.ones(len(piece), dtype=bool)
+        for j in range(n):
+            lo = origins[grid, j] + side / cells * idx[j]
+            full &= _overlap_widths(lows[piece, j], sides[piece], lo[row], side / cells) == side / cells
+        bits = (np.arange(kids)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # child c's bit on axis j
+        self.mass, self.pure, self.mixed = [top_mass.flat[self.top_cells]], [], []
+        size = len(self.top_cells)
+        for d in range(top, depth + 1):
+            if d > top:
+                if math.isinf(params.q):
+                    self.mass.append(np.zeros(size))
+                    np.maximum.at(self.mass[-1], row, weight[piece])
+                else:
+                    # an empty bincount is an integer array
+                    self.mass.append(np.bincount(row, weights=weight[piece] * vol, minlength=size).astype(float))
+            count = np.bincount(row, minlength=size)
+            self.pure.append((count == 1) & (np.bincount(row[full], minlength=size) == 1))
+            split = (count > 0) & ~self.pure[-1] if d < depth else np.zeros(size, dtype=bool)
+            self.mixed.append(np.flatnonzero(split))
+            if d == depth:
+                break
+            # the pairs of the mixed cells, split among their children
+            on = split[row]
+            row, piece = (np.cumsum(split) - 1)[row[on]], piece[on]
+            if d == top:
+                grid, idx = grid[self.mixed[-1]], [i[self.mixed[-1]] for i in idx]
+            else:  # from the grid and index of each row's parent
+                parent, bit = self.mixed[-1] >> n, self.mixed[-1] & (kids - 1)
+                grid, idx = grid[parent], [2 * i[parent] + bits[bit, j] for j, i in enumerate(idx)]
+            w = side / (1 << (d + 1))
+            vol = np.ones((len(piece), 1))
+            full = np.ones((len(piece), 1), dtype=bool)
+            for j in range(n):
+                low, piece_side = lows[piece, j], sides[piece]
+                widths = np.stack([_overlap_widths(low, piece_side, (origins[grid, j] + w * (2 * idx[j] + b))[row], w)
+                                   for b in (0, 1)], axis=1)
+                vol = (vol[:, :, None] * widths[:, None, :]).reshape(len(piece), 2 << j)
+                full = (full[:, :, None] & (widths == w)[:, None, :]).reshape(len(piece), 2 << j)
+            hit = np.flatnonzero(vol)
+            pair = hit >> n
+            row, piece = (row[pair] << n) | (hit & (kids - 1)), piece[pair]
+            vol, full = vol.ravel()[hit], full.ravel()[hit]
+            size = len(grid) << n
+        # the mixed cells' masses, from the deepest level up
+        combine = np.maximum if math.isinf(params.q) else np.add
+        for k in range(depth - top - 1, -1, -1):
+            self.mass[k][self.mixed[k]] = _pair_sums(self.mass[k + 1], kids, combine)
+        top_mass.flat[self.top_cells] = self.mass[0]
+        self.score = [_scores((side / (1 << d)) ** n, mass, params) for d, mass in enumerate(self.mass, top)]
+        self.keep = [np.ones(len(mass), dtype=bool) for mass in self.mass]
+        self.shape = top_mass.shape
+
+    def best(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each top cell's best score at the horizons top + 1 .. depth (axis
+        0), and whether it is kept whole at the last one.  Sets `keep` for
+        the last horizon."""
+        n, top, depth, alpha = self.n, self.top, self.depth, self.params.alpha
+        # at level top + k, best[h] is each row's best score at horizon top + k + h
+        best = self.score[-1][None]
+        for k in range(depth - top - 1, -1, -1):
+            score, pure, mixed = self.score[k], self.pure[k], self.mixed[k]
+            split = _pair_sums(best, 1 << n, np.add)
+            best = np.repeat(score[None], depth - top - k + 1, axis=0)
+            if alpha > 0.0:
+                best[:, pure] *= 2.0 ** (n * self.params.p * alpha * np.arange(len(best)))[:, None]
+            best[1:, mixed] = np.maximum(score[mixed], split)
+            self.keep[k][pure] = (alpha <= 0.0) | (score[pure] == 0.0)
+            self.keep[k][mixed] = score[mixed] >= split[-1]
+        size = math.prod(self.shape)
+        out = np.zeros((depth - top, size))
+        out[:, self.top_cells] = best[1:]
+        kept = np.ones(size, dtype=bool)
+        kept[self.top_cells] = self.keep[0]
+        return out.reshape((depth - top,) + self.shape), kept.reshape(self.shape)
+
+    def family(self, origin: tuple[float, ...], side: float, grid: int, index: tuple[int, ...]) -> list[Cube]:
+        """The cells kept whole at the last horizon below one top cell that is
+        split, in _read_family's order."""
+        n, top = self.n, self.top
+        children = list(iter_product((0, 1), repeat=n))[::-1]  # popped in dyadic_children order
+        kids = [sum(b << (n - 1 - j) for j, b in enumerate(bits)) for bits in children]
+        flat = grid * (1 << top * n) + int(np.ravel_multi_index(index, (1 << top,) * n))
+        cells = []
+        # (level, multi-index, row of the level), the row None below a split pure cell
+        stack: list[tuple[int, tuple[int, ...], int | None]] = [
+            (top, index, int(np.searchsorted(self.top_cells, flat)))
+        ]
+        while stack:
+            d, i, row = stack.pop()
+            if row is None:
+                kept, score, pure = d == self.depth, 1.0, True
+            else:
+                kept, score, pure = self.keep[d - top][row], self.score[d - top][row], self.pure[d - top][row]
+            if kept:
+                if score > 0.0:
+                    w = side / (1 << d)
+                    cells.append(Cube(tuple(o + w * k for o, k in zip(origin, i)), w))
+                continue
+            if pure:
+                rows = [None] * len(kids)
+            else:
+                rank = int(np.searchsorted(self.mixed[d - top], row))
+                rows = [(rank << n) + c for c in kids]
+            stack.extend((d + 1, tuple(2 * k + b for k, b in zip(i, bits)), r) for bits, r in zip(children, rows))
+        return cells
+
+
 def _read_family(
-    origin: tuple[float, ...], side: float, scores: list[np.ndarray], keep: list[np.ndarray]
+    origin: tuple[float, ...],
+    side: float,
+    scores: list[np.ndarray],
+    keep: list[np.ndarray],
+    tail: _Tail | None,
+    grid: int,
 ) -> CubeFamily:
-    """The achieving family, read top-down from the keep arrays.
+    """The achieving family of one grid, read top-down from the keep arrays
+    of its dense levels, and from the tail below a top cell that is split.
 
     Cells of zero score are left out.  The order is depth-first with
     children in dyadic_children order, which for n = 1 is left to right.
     """
     n = len(origin)
+    top = len(keep) - 1
     children = list(iter_product((0, 1), repeat=n))[::-1]  # popped in dyadic_children order
     cells = []
     stack = [(0, (0,) * n)]
@@ -143,8 +322,10 @@ def _read_family(
             if scores[d][i] > 0.0:
                 w = side / (1 << d)
                 cells.append(Cube(tuple(o + w * k for o, k in zip(origin, i)), w))
-        else:
+        elif d < top:
             stack.extend((d + 1, tuple(2 * k + b for k, b in zip(i, bits))) for bits in children)
+        else:
+            cells.extend(tail.family(origin, side, grid, i))
     return CubeFamily(tuple(cells))
 
 
@@ -169,10 +350,21 @@ def rm_norm_dyadic(
     The grids run in passes, each one array pass with the grids on a
     leading axis: their cell masses come from one grid_cell_values call,
     and the mass pyramid and the keep-or-split sweep work on every grid
-    at once.  A pass holds at most _PASS_CELLS finest cells, or one grid
-    when a grid alone has more.  Keep-whole arrays are built for the
-    last horizon only, the one the certificate is read from.  Raises
-    ValueError if the best score overflows a double.
+    and every horizon at once.  A pass holds at most _PASS_CELLS finest
+    cells, or one grid when a grid alone has more.  Keep-whole arrays are
+    built for the last horizon only, the one the certificate is read from.
+
+    The dense pyramid of a step function stops at a top level of at most
+    2**_TOP_BITS cells per grid, min(depth, _TOP_BITS // dim).  Below it
+    only the mixed cells are refined, those that two or more pieces meet,
+    or one piece that does not cover them.  A pure cell, which one piece
+    covers and no other meets, has a closed-form best subtree: splitting
+    it multiplies its
+    score by 2**(n*p*alpha), so it is kept whole for alpha <= 0 and split
+    down to the horizon for alpha > 0.  Empty cells drop out.  A mixed
+    top cell's mass is summed up from its children.  A radial power has
+    no pure cell, so its top is the full depth.  Raises ValueError if the
+    best score overflows a double.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")
@@ -189,6 +381,7 @@ def rm_norm_dyadic(
 
     origins = np.array(root.lower) + np.array(list(iter_product(offset_list, repeat=n))) * root.side
     combine = np.maximum if math.isinf(params.q) else np.add
+    top = min(depth, _TOP_BITS // n) if isinstance(f, StepFunction) else depth
     best_by_depth = [0.0] * (depth + 1)
     best_value = -1.0
     best_family: CubeFamily = CubeFamily(())
@@ -196,34 +389,39 @@ def rm_norm_dyadic(
     with np.errstate(over="ignore"):  # an overflow shows as an infinite score, refused below
         for first in range(0, len(origins), per_pass):
             batch = origins[first:first + per_pass]
-            values = grid_cell_values(f, batch, root.side / (1 << depth), 1 << depth, params.q)
+            values = grid_cell_values(f, batch, root.side / (1 << top), 1 << top, params.q)
+            tail = _Tail(f, batch, root.side, top, depth, params, values) if top < depth else None
             scores = []
-            for d in range(depth, -1, -1):
+            for d in range(top, -1, -1):
                 scores.append(_scores((root.side / (1 << d)) ** n, values, params))
                 if d:
                     values = _coarsen(values, combine)
             scores.reverse()
 
-            # horizons before the last need only each grid's best score
-            for horizon in range(depth):
-                best = scores[horizon]
-                for d in range(horizon - 1, -1, -1):
-                    best = np.maximum(scores[d], _coarsen(best, np.add))
-                best_by_depth[horizon] = max(best_by_depth[horizon], float(best.max()))
-            best = scores[depth]
-            keep = [np.ones(best.shape, dtype=bool)]
-            for d in range(depth - 1, -1, -1):
-                split = _coarsen(best, np.add)
-                keep.append(scores[d] >= split)
-                best = np.where(keep[-1], scores[d], split)
+            # best[k] holds each cell's best score at horizon d + k, for every
+            # horizon at once; keep arrays are built for the last horizon only
+            if tail is None:
+                best, kept = scores[depth][None], np.ones(scores[depth].shape, dtype=bool)
+            else:
+                best, kept = tail.best()
+                best = np.concatenate([scores[top][None], best])
+            keep = [kept]
+            for d in range(top - 1, -1, -1):
+                split = _coarsen(best.reshape((-1,) + best.shape[2:]), np.add)
+                split = split.reshape(best.shape[:2] + split.shape[1:])
+                keep.append(scores[d] >= split[-1])
+                last = np.where(keep[-1], scores[d], split[-1])
+                best = np.concatenate([scores[d][None], np.maximum(scores[d], split[:-1]), last[None]])
             keep.reverse()
-            best = best.reshape(-1)
+            for horizon in range(depth):
+                best_by_depth[horizon] = max(best_by_depth[horizon], float(best[horizon].max()))
+            best = best[depth].reshape(-1)
             g = int(np.argmax(best))  # the first best grid, as the strict > keeps the first across passes
             best_by_depth[depth] = max(best_by_depth[depth], float(best[g]))
             if best[g] > best_value:
                 best_value = float(best[g])
                 best_family = _read_family(
-                    tuple(batch[g].tolist()), root.side, [s[g] for s in scores], [k[g] for k in keep]
+                    tuple(batch[g].tolist()), root.side, [s[g] for s in scores], [k[g] for k in keep], tail, g
                 )
     _refuse_overflow(best_value, f, params.q)
 

@@ -83,7 +83,7 @@ class TestConstructCommand:
         code, out = run_cli(
             [
                 "norm", "--function", str(fn), "--p", "2", "--q", "1",
-                "--alpha", "-0.25", "--depth", "8", "--domain", "rn",
+                "--alpha", "-0.25", "--depth", "8",
             ],
             capsys,
         )
@@ -171,8 +171,7 @@ class TestNormCommand:
         code, out = run_cli(
             [
                 "norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "0",
-                "--domain", "cube", "--root", "0", "--side", "1", "--depth", "3",
-                "--offsets", "0",
+                "--root", "0", "--side", "1", "--depth", "3", "--offsets", "0",
             ],
             capsys,
         )
@@ -220,6 +219,31 @@ class TestNormCommand:
         with pytest.raises(SystemExit) as exc:
             main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "-0.25", *flags])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("p, flags, config", [
+        ("2", ["--domain", "rn"], None),
+        ("2", ["--domain", "cube"], None),
+        ("2", [], {"domain": "cube"}),
+        ("inf", ["--offsets", "0"], None),
+        ("inf", ["--offsets", "0.5"], None),
+        ("inf", [], {"offsets": "0"}),
+    ], ids=["finite-p-domain-rn", "finite-p-domain-cube", "finite-p-domain-config", "inf-offsets-0",
+            "inf-offsets-half", "inf-offsets-config"])
+    def test_unapplied_setting_exits_2(self, tmp_path, capsys, p, flags, config):
+        # finite p runs the dyadic DP, which reads no domain; p = inf runs the
+        # single-cube estimate, which reads no offsets
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", p, "--q", "1", "--alpha", "-0.5", "--depth", "3", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "not applied" in captured.err
+        assert captured.out == ""
 
     def test_infinite_p_routes_to_single_cube(self, tmp_path, capsys):
         fn = tmp_path / "f.json"

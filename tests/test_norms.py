@@ -471,6 +471,87 @@ class TestBatchedGrids:
         assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, (0.0, 0.25, 0.5)))
 
 
+def tail_piece(rng, kind, dim, pieces):
+    """One support cube of a given kind, in or near the root [-4, 4]**dim."""
+    if kind == "aligned":  # on the faces of the dyadic cells of the root and its 0.5 shift
+        level = int(rng.integers(0, 4))
+        w = 8.0 / 2 ** level
+        return Cube(tuple(-4.0 + w * int(rng.integers(0, 2 ** level)) for _ in range(dim)), w)
+    if kind == "sub-ulp":  # far below the ulp of its position
+        return Cube(tuple(rng.uniform(-4.0, 4.0, dim).tolist()), 1e-20)
+    if kind == "touching" and pieces:  # shares a face with the last piece
+        c = pieces[-1][0]
+        return Cube((c.lower[0] + c.side,) + c.lower[1:], float(rng.uniform(0.1, 2.0)))
+    if kind == "overlapping" and pieces:  # overlaps an earlier piece, which adds to it
+        c = pieces[int(rng.integers(len(pieces)))][0]
+        return Cube(tuple(x + 0.25 * c.side for x in c.lower), c.side)
+    side = float(rng.uniform(0.05, 4.0))
+    return Cube(tuple(rng.uniform(-4.5, 4.5 - side, dim).tolist()), side)
+
+
+def with_top(bits, f, root, depth, params, offsets):
+    """rm_norm_dyadic with its dense levels stopping at 2**bits cells per grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_TOP_BITS", bits)
+        return rm_norm_dyadic(f, root, depth, params, offsets=offsets)
+
+
+class TestRefinedTail:
+    """Below the dense top only the cells a piece face cuts are refined."""
+
+    KINDS = ("random", "aligned", "touching", "sub-ulp", "overlapping")
+    DEPTHS = {1: 6, 2: 4, 3: 3}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        dim=st.sampled_from((1, 2, 3)),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        p=st.sampled_from((1.5, 2.0, 3.0)),
+        q=st.sampled_from((1.0, 2.0, math.inf)),
+        alpha=st.sampled_from((-0.3, -0.1, 0.0, 0.1, 0.25)),
+        offsets=st.lists(st.sampled_from((0.0, 0.25, 0.5)), min_size=1, max_size=2, unique=True),
+        data=st.data(),
+    )
+    def test_matches_recursive_oracle(self, seed, dim, kinds, p, q, alpha, offsets, data):
+        rng = np.random.default_rng(seed)
+        pieces = []
+        for kind in kinds:
+            pieces.append((tail_piece(rng, kind, dim, pieces), float(rng.choice((0.0, 0.5, 1.0, 3.0)))))
+        f = StepFunction(tuple(pieces))
+        depth = data.draw(st.integers(1, self.DEPTHS[dim]), label="depth")
+        top = data.draw(st.integers(0, min(2, depth - 1)), label="top")
+        root = Cube((-4.0,) * dim, 8.0)
+        params = ParamSpace(p, q, alpha)
+        est = with_top(top * dim, f, root, depth, params, offsets)
+        want = oracle_trace(f, root, depth, params, offsets)
+        assert [v for _, v in est.trace] == pytest.approx(want, rel=1e-12)
+        assert rm_score(f, est.certificate, params) ** (1.0 / p) == pytest.approx(est.value, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.25])
+    def test_pure_cells_in_closed_form(self, alpha):
+        # f = 1 on [0, 1]: every cell of the aligned grid is pure or empty; a
+        # positive alpha splits the whole unit cube down to the horizon
+        f = StepFunction(((UNIT, 1.0),))
+        root = Cube((0.0,), 2.0)
+        params = ParamSpace(2.0, 1.0, alpha)
+        est = with_top(0, f, root, 6, params, (0.0,))
+        dense = with_top(24, f, root, 6, params, (0.0,))
+        assert [v for _, v in est.trace] == pytest.approx([v for _, v in dense.trace], rel=1e-12)
+        assert len(est.certificate) == (32 if alpha > 0.0 else 1)
+        assert rm_score(f, est.certificate, params) ** 0.5 == pytest.approx(est.value, rel=1e-12)
+
+    def test_deep_tree_matches_the_dense_levels(self):
+        tree = build_tree(1, 12, ParamSpace(2.0, 1.0, -0.25))
+        f = tree_function(tree)
+        params = ParamSpace(2.5, 1.5, -0.1)
+        est = rm_norm_dyadic(f, tree.domain, 18, params)
+        dense = with_top(24, f, tree.domain, 18, params, None)
+        assert est.value == pytest.approx(dense.value, rel=1e-11)
+        assert [v for _, v in est.trace] == pytest.approx([v for _, v in dense.trace], rel=1e-11)
+        assert rm_score(f, est.certificate, params) ** (1.0 / 2.5) == pytest.approx(est.value, rel=1e-12)
+
+
 class TestBruteForce:
     """The interval DP against the composition enumeration and the dyadic DP."""
 
