@@ -160,8 +160,9 @@ _CONSTRUCTION_FLAGS = {
 def _cmd_construct(args, parser) -> int:
     name = args.construction
     _refuse_unapplied(args, parser, _CONSTRUCTION_FLAGS[name], f"the {name} construction")
-    # --n defaults to None so that a config file can set it
-    if args.n is None:
+    # --n defaults to None so that a config file can set it; a construction
+    # that reads no n records none
+    if args.n is None and "n" in _CONSTRUCTION_FLAGS[name]:
         args.n = 1
     meta: dict = {"construction": name, "config": _resolved_config(args)}
     function_doc: dict | None = None

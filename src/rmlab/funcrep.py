@@ -255,11 +255,11 @@ def grid_cell_values(
     `origins` has shape (G, n), one grid per row; the result has shape
     (G,) + (cells,) * n, and cube i (a multi-index) of grid g has lower
     corner origins[g] + width * i and side width.  Step functions sum
-    (take the max of) their `_step_cell_pairs` by bincount, each cell in
-    piece order, as with one grid alone.  Radial powers send every cell
-    of every grid through one quadrature batch (power_integrals), a cell
-    on the origin corner as its ring of regular boxes; for q = inf the
-    sup is read off each cell's corners.
+    (take the max of) their `_step_cell_pairs` in `_step_cell_masses`,
+    each cell in piece order, as with one grid alone.  Radial powers send
+    every cell of every grid through one quadrature batch
+    (power_integrals), a cell on the origin corner as its ring of regular
+    boxes; for q = inf the sup is read off each cell's corners.
     """
     origins = np.asarray(origins, dtype=float)
     grids, n = origins.shape
@@ -271,16 +271,25 @@ def grid_cell_values(
         return _radial_cell_values(f, lows.reshape(-1, n), width, q).reshape((grids,) + shape)
     if not isinstance(f, StepFunction):
         raise TypeError(f"cannot integrate {type(f).__name__}")
-    piece, flat, vol = _step_cell_pairs(f, origins, width, cells)
+    return _step_cell_masses(f, _step_cell_pairs(f, origins, width, cells), (grids,) + shape, q)
+
+
+def _step_cell_masses(
+    f: StepFunction, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, ...], q: float
+) -> np.ndarray:
+    """The cell masses of grid_cell_values, of shape `shape`, from the
+    (piece, flat, volume) pairs of _step_cell_pairs: each cell sums (for
+    q = inf, takes the max of) its terms in pair order."""
+    piece, flat, vol = pairs
     heights = f._arrays[2]
-    size = grids * cells ** n
+    size = math.prod(shape)
     if math.isinf(q):
         out = np.zeros(size)
         np.maximum.at(out, flat, heights[piece])
     else:
         # a bincount of no pairs (a function without pieces) is an integer array
         out = np.bincount(flat, weights=heights[piece] ** q * vol, minlength=size).astype(float, copy=False)
-    return out.reshape((grids,) + shape)
+    return out.reshape(shape)
 
 
 def _step_cell_pairs(

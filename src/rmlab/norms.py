@@ -26,6 +26,7 @@ from .funcrep import (
     ParamSpace,
     RadialPower,
     StepFunction,
+    _step_cell_masses,
     _step_cell_pairs,
     grid_cell_values,
     lq_norm_on_cube,
@@ -114,7 +115,8 @@ def _scores(volume: float | np.ndarray, mass: np.ndarray, params: ParamSpace) ->
 # even and odd cells along axis j; axis 0 holds the grids, and a coarsened
 # grid has depth >= 1, so dim <= 24
 _EVEN, _ODD = (tuple((slice(None),) * j + (slice(b, None, 2),) for j in range(25)) for b in (0, 1))
-# finest cells the DP holds per pass over its grids; a larger grid gets a pass of its own
+# dense top-level cells the DP holds per pass over its grids; a larger top level
+# gets a pass of its own.  A step function's tail arrays grow with the grids per pass
 _PASS_CELLS = 1 << 16
 # a step function's dense levels stop at 2**_TOP_BITS cells per grid; below
 # them only the cells a piece face cuts are refined
@@ -171,8 +173,9 @@ class _Tail:
     """
 
     def __init__(self, f: StepFunction, origins: np.ndarray, side: float, top: int, depth: int,
-                 params: ParamSpace, top_mass: np.ndarray):
-        """`top_mass` holds the grids' top-level masses from grid_cell_values;
+                 params: ParamSpace, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], top_mass: np.ndarray):
+        """`pairs` are the grids' top-level (piece, flat, volume) pairs from
+        _step_cell_pairs, and `top_mass` their masses from _step_cell_masses;
         the masses of the mixed top cells in it are replaced by the sums of
         their children."""
         n = origins.shape[1]
@@ -182,7 +185,7 @@ class _Tail:
         lows = lows.reshape(len(sides), n)  # (0, n) for a function without pieces
         weight = heights if math.isinf(params.q) else heights ** params.q
         # the pairs (row, piece, volume) of the top cells a piece meets
-        piece, flat, vol = _step_cell_pairs(f, origins, side / cells, cells)
+        piece, flat, vol = pairs
         live = heights[piece] > 0.0
         piece, flat, vol = piece[live], flat[live], vol[live]
         met = np.bincount(flat, minlength=top_mass.size) > 0
@@ -348,23 +351,27 @@ def rm_norm_dyadic(
     MAX_DP_CELLS cells, so depth * dim <= 24.
 
     The grids run in passes, each one array pass with the grids on a
-    leading axis: their cell masses come from one grid_cell_values call,
-    and the mass pyramid and the keep-or-split sweep work on every grid
-    and every horizon at once.  A pass holds at most _PASS_CELLS finest
-    cells, or one grid when a grid alone has more.  Keep-whole arrays are
-    built for the last horizon only, the one the certificate is read from.
+    leading axis: their top-level cell masses come from one
+    grid_cell_values call, or from its two steps when a tail follows, and
+    the mass pyramid and the keep-or-split sweep work on every grid and
+    every horizon at once.  A pass holds at most _PASS_CELLS dense
+    top-level cells, or one grid when its top level alone has more.
+    Keep-whole arrays are built for the last horizon only, the one the
+    certificate is read from.
 
     The dense pyramid of a step function stops at a top level of at most
     2**_TOP_BITS cells per grid, min(depth, _TOP_BITS // dim).  Below it
     only the mixed cells are refined, those that two or more pieces meet,
-    or one piece that does not cover them.  A pure cell, which one piece
-    covers and no other meets, has a closed-form best subtree: splitting
-    it multiplies its
-    score by 2**(n*p*alpha), so it is kept whole for alpha <= 0 and split
-    down to the horizon for alpha > 0.  Empty cells drop out.  A mixed
-    top cell's mass is summed up from its children.  A radial power has
-    no pure cell, so its top is the full depth.  Raises ValueError if the
-    best score overflows a double.
+    or one piece that does not cover them, starting from the (cell,
+    piece) pairs that the top masses were summed from, scattered once per
+    pass; the tail's arrays grow with the grids per pass.  A pure cell,
+    which one piece covers and no other meets, has a closed-form best
+    subtree: splitting it multiplies its score by 2**(n*p*alpha), so it
+    is kept whole for alpha <= 0 and split down to the horizon for
+    alpha > 0.  Empty cells drop out.  A mixed top cell's mass is summed
+    up from its children.  A radial power has no pure cell, so its top
+    is the full depth.  Raises ValueError if the best score overflows a
+    double.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")
@@ -385,12 +392,17 @@ def rm_norm_dyadic(
     best_by_depth = [0.0] * (depth + 1)
     best_value = -1.0
     best_family: CubeFamily = CubeFamily(())
-    per_pass = max(1, _PASS_CELLS >> (n * depth))
+    width, cells = root.side / (1 << top), 1 << top
+    per_pass = max(1, _PASS_CELLS >> (n * top))
     with np.errstate(over="ignore"):  # an overflow shows as an infinite score, refused below
         for first in range(0, len(origins), per_pass):
             batch = origins[first:first + per_pass]
-            values = grid_cell_values(f, batch, root.side / (1 << top), 1 << top, params.q)
-            tail = _Tail(f, batch, root.side, top, depth, params, values) if top < depth else None
+            if top < depth:  # a step function: one scatter feeds its top masses and its tail
+                pairs = _step_cell_pairs(f, batch, width, cells)
+                values = _step_cell_masses(f, pairs, (len(batch),) + (cells,) * n, params.q)
+                tail = _Tail(f, batch, root.side, top, depth, params, pairs, values)
+            else:
+                values, tail = grid_cell_values(f, batch, width, cells, params.q), None
             scores = []
             for d in range(top, -1, -1):
                 scores.append(_scores((root.side / (1 << d)) ** n, values, params))

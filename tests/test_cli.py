@@ -1,12 +1,15 @@
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmlab
 from rmlab.cli import canonical_json, main
 from rmlab.verification import PROBES
 
@@ -105,6 +108,9 @@ class TestConstructCommand:
         doc = json.loads(meta.read_text())
         assert len(doc["thresholds"]) == 5
         assert abs(doc["normalizer"] - 3.6009377504588893) < 1e-9
+        # shells read no n: it stays unset (null), like every other flag they do not read
+        assert doc["config"]["n"] is None
+        assert all(doc["config"][flag] is None for flag in ("L", "depth", "grid", "q"))
 
     def test_power_split_meta(self, tmp_path, capsys):
         meta = tmp_path / "ps.meta.json"
@@ -527,11 +533,15 @@ class TestSweepCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the package under test, also when pytest put it on sys.path itself
+        src = str(Path(rmlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "rmlab.cli", "classify", "--p", "2", "--q", "1",
              "--alpha", "0", "--domain", "rn"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "EqualsLp"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmlab import norms
+from rmlab import funcrep, norms
 from rmlab.estimate import LOWER_BOUND
 from rmlab.funcrep import ParamSpace, RadialPower, StepFunction, grid_cell_values, lebesgue_norm, lq_norm_on_cube
 from rmlab.geometry import Cube, CubeFamily, Domain, dyadic_children
@@ -402,11 +402,22 @@ def grid_by_grid(f, root, depth, params, offsets):
         return rm_norm_dyadic(f, root, depth, params, offsets=offsets)
 
 
+def counting(mp, name, count):
+    """Patch funcrep.<name> under both its names, funcrep's (which
+    grid_cell_values calls) and norms's, to call `count` with its
+    arguments first."""
+    wrapped = getattr(funcrep, name)
+    for module in (funcrep, norms):
+        mp.setattr(module, name, lambda *a: count(*a) or wrapped(*a))
+
+
 def with_pass_sizes(f, root, depth, params, offsets):
-    """rm_norm_dyadic and the number of grids in each of its passes."""
+    """rm_norm_dyadic on a step function and the number of grids in each of
+    its passes, counted at _step_cell_masses, which every pass calls: from
+    grid_cell_values without a tail, and directly with one."""
     sizes = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(norms, "grid_cell_values", lambda f, o, *a: sizes.append(len(o)) or grid_cell_values(f, o, *a))
+        counting(mp, "_step_cell_masses", lambda f, pairs, shape, q: sizes.append(shape[0]))
         est = rm_norm_dyadic(f, root, depth, params, offsets=offsets)
     return est, sizes
 
@@ -419,7 +430,7 @@ class TestBatchedGrids:
     """The grids of one pass share one array pass; the outcome is that of one grid at a time."""
 
     # deepest DP per (function, dim): one or several grids per pass
-    DEPTHS = {("step", 1): 16, ("step", 2): 8, ("step", 3): 5, ("radial", 1): 12, ("radial", 2): 4}
+    DEPTHS = {("step", 1): 20, ("step", 2): 8, ("step", 3): 5, ("radial", 1): 12, ("radial", 2): 4}
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -455,7 +466,8 @@ class TestBatchedGrids:
         assert sizes == [16, 11]
         assert outcome(est) == outcome(grid_by_grid(f, root, 4, params, None))
 
-    @pytest.mark.parametrize("depth, sizes", [(4, [16, 11]), (5, [2] * 13 + [1])])
+    # at depth 5 the top is level 4, and the passes are sized by the top level
+    @pytest.mark.parametrize("depth, sizes", [(4, [16, 11]), (5, [16, 11])])
     def test_tie_across_a_pass_boundary_goes_to_the_first_grid(self, depth, sizes):
         # f = 1 on [0.25, 1.5]**3 fills the eight grids whose offsets are all
         # 0.25 or 0.5, and keeping their root cube scores 1 in each, so they
@@ -468,6 +480,30 @@ class TestBatchedGrids:
         assert got == sizes
         assert est.value == 1.0
         assert est.certificate == CubeFamily((Cube((0.25,) * 3, 1.0),))
+        assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, (0.0, 0.25, 0.5)))
+
+    def test_deep_line_runs_its_default_grids_in_one_pass(self):
+        # the top is level 12 of 18, so the 3 grids hold 3 * 2**12 dense cells
+        rng = np.random.default_rng(7)
+        f = random_step_function(rng, 1)
+        params = random_intermediate_params(rng)
+        root = Cube((-4.0,), 8.0)
+        est, sizes = with_pass_sizes(f, root, 18, params, None)
+        assert sizes == [3]
+        assert outcome(est) == outcome(grid_by_grid(f, root, 18, params, None))
+
+    @pytest.mark.parametrize("dim, depth, passes", [(1, 18, 1), (1, 6, 1), (3, 4, 2), (3, 5, 2)])
+    def test_pairs_are_scattered_once_per_pass(self, dim, depth, passes):
+        rng = np.random.default_rng(dim + depth)
+        f = random_step_function(rng, dim)
+        params = random_intermediate_params(rng)
+        root = Cube((-4.0,) * dim, 8.0)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            counting(mp, "_step_cell_pairs", lambda f, origins, width, cells: calls.append(len(origins)))
+            est = rm_norm_dyadic(f, root, depth, params, offsets=(0.0, 0.25, 0.5))
+        assert len(calls) == passes
+        assert sum(calls) == 3 ** dim
         assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, (0.0, 0.25, 0.5)))
 
 
