@@ -15,7 +15,6 @@ from .funcrep import (
     ParamSpace,
     RadialPower,
     StepFunction,
-    distribution_measure,
     evaluate,
     lebesgue_norm,
     lq_norm_on_cube,
@@ -59,7 +58,6 @@ from .norms import (
 from .analysis import (
     Classification,
     GrowthReport,
-    check_embedding,
     check_holder_cube,
     check_power_sum_inequalities,
     classify,

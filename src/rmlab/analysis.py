@@ -21,8 +21,8 @@ from .constructions import (
     shell_thresholds,
     tree_descendant_mass_log2,
 )
-from .funcrep import ParamSpace, StepFunction, lebesgue_norm, lq_norm_on_cube
-from .geometry import Cube, CubeFamily, Domain, shell_partition_1d
+from .funcrep import ParamSpace, StepFunction, lq_norm_on_cube
+from .geometry import Cube, shell_partition_1d
 from .norms import rm_score
 from .series import partial_power_sum
 
@@ -30,7 +30,6 @@ __all__ = [
     "PowerSumReport",
     "check_power_sum_inequalities",
     "check_holder_cube",
-    "check_embedding",
     "Classification",
     "classify",
     "GrowthReport",
@@ -124,19 +123,6 @@ def check_holder_cube(f: StepFunction, cube: Cube, params: ParamSpace) -> bool:
     rhs = lq_norm_on_cube(f, cube, theta) ** theta
     rhs = rhs ** (1.0 - params.p * params.alpha)
     return lhs <= rhs * (1.0 + 1e-12) + 1e-300
-
-
-def check_embedding(
-    f: StepFunction, families: Iterable[CubeFamily | Sequence[Cube]], params: ParamSpace
-) -> bool:
-    """Every family score**(1/p) must sit below the critical Lebesgue norm on the whole space."""
-    params.require_intermediate_regime()
-    bound = lebesgue_norm(f, Domain.whole_space(f.dim), params.theta).value
-    for fam in families:
-        val = rm_score(f, fam, params) ** (1.0 / params.p)
-        if val > bound * (1.0 + 1e-12) + 1e-300:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

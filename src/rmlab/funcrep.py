@@ -28,7 +28,6 @@ __all__ = [
     "lq_norm_on_cube",
     "grid_cell_values",
     "lebesgue_norm",
-    "distribution_measure",
     "weak_norm",
     "shell_integral_radial",
     "positive_orthant_sphere_measure",
@@ -420,15 +419,6 @@ def lebesgue_norm(f: FunctionLike, domain: Domain, theta: float) -> NormEstimate
         value = lq_norm_on_cube(f, domain.cube, theta)
         return NormEstimate(value, EXACT, certificate="quadrature", trace=((1, value),))
     raise TypeError(f"cannot integrate {type(f).__name__}")
-
-
-def distribution_measure(f: StepFunction, level: float) -> float:
-    """Measure of the strict super-level set { |f| > level }."""
-    if level < 0.0:
-        raise ValueError("level must be >= 0")
-    if not f.pieces:
-        return 0.0
-    return float(sum(cube.volume for cube, h in f.pieces if h > level))
 
 
 def weak_norm(f: StepFunction, p: float, alpha: float) -> float:

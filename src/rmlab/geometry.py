@@ -24,7 +24,6 @@ __all__ = [
     "ring_subdivision",
     "shell_partition_1d",
     "interiors_pairwise_disjoint",
-    "overlap_volume",
 ]
 
 
@@ -188,12 +187,6 @@ def _overlap_widths(lo_a, side_a, lo_b, side_b) -> np.ndarray:
     """
     d = lo_b - lo_a
     return np.maximum(np.minimum(np.minimum(side_a, side_b), np.minimum(d + side_b, side_a - d)), 0.0)
-
-
-def overlap_volume(a: Cube, b: Cube) -> float:
-    """Volume of the (closed) intersection box."""
-    _require_same_dim(a, b)
-    return math.prod(_overlap_widths(np.array(a.lower), a.side, np.array(b.lower), b.side).tolist())
 
 
 def dyadic_children(c: Cube) -> CubeFamily:

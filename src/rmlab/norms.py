@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from itertools import product as iter_product
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ from .funcrep import (
     ParamSpace,
     RadialPower,
     StepFunction,
-    _step_cell_masses,
     _step_cell_pairs,
     grid_cell_values,
     lq_norm_on_cube,
@@ -46,7 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_OFFSETS: tuple[float, ...] = (0.0, 1.0 / 3.0, 2.0 / 3.0)
-# finest-level cells per grid the DP may allocate: depth * dim <= 24
+# the DP's bound on 2**(dim * depth), so dim * depth <= 24: a radial power's
+# finest-level cells per grid.  A step function's complete levels stop at
+# 2**_TOP_BITS cells per grid, so for it the bound caps only the depth
 MAX_DP_CELLS = 1 << 24
 # grid cells of the O(m**2) interval DP
 MAX_INTERVAL_CELLS = 1 << 14
@@ -112,224 +114,194 @@ def _scores(volume: float | np.ndarray, mass: np.ndarray, params: ParamSpace) ->
     return s
 
 
-# even and odd cells along axis j; axis 0 holds the grids, and a coarsened
-# grid has depth >= 1, so dim <= 24
-_EVEN, _ODD = (tuple((slice(None),) * j + (slice(b, None, 2),) for j in range(25)) for b in (0, 1))
-# dense top-level cells the DP holds per pass over its grids; a larger top level
-# gets a pass of its own.  A step function's tail arrays grow with the grids per pass
+# top-level cells the DP holds per pass over its grids; a larger top level
+# gets a pass of its own.  A step function's refined levels grow with the
+# grids per pass
 _PASS_CELLS = 1 << 16
-# a step function's dense levels stop at 2**_TOP_BITS cells per grid; below
-# them only the cells a piece face cuts are refined
+# a step function's levels are complete down to 2**_TOP_BITS cells per grid;
+# below them only the cells a piece face cuts are refined
 _TOP_BITS = 12
 
 
-def _coarsen(a: np.ndarray, combine: np.ufunc) -> np.ndarray:
-    """Combine each block of 2**n child cells into its parent cell, grid by grid.
+def _pair_sums(a: np.ndarray, kids: int, combine: np.ufunc, root: bool) -> np.ndarray:
+    """Combine each run of `kids` children on the last axis into its parent.
 
-    Axis 0 of `a` holds the grids.  Cells pair along one axis at a time,
-    last axis first: the order of a reduce over the (half, 2)**n blocks in
-    1-D and 2-D.  That reduce adds the root's 2**n children as one run
-    instead, so the root keeps it.
+    The children are in C order of their axis bits, so adjacent ones differ
+    in the last axis's bit, and they pair along one axis at a time, last
+    axis first.  A root combines its run in one reduce instead.
     """
-    if a.shape[1] == 2:
-        return combine.reduce(a.reshape(len(a), -1), axis=1).reshape((len(a),) + (1,) * (a.ndim - 1))
-    for j in range(a.ndim - 1, 0, -1):
-        a = combine(a[_EVEN[j]], a[_ODD[j]])
-    return a
-
-
-def _pair_sums(a: np.ndarray, kids: int, combine: np.ufunc) -> np.ndarray:
-    """Combine each run of `kids` children on the last axis into its parent,
-    in _coarsen's pairing order: the children are in C order of their axis
-    bits, so adjacent ones differ in the last axis's bit."""
     a = a.reshape(a.shape[:-1] + (-1, kids))
+    if root:
+        return combine.reduce(a.reshape(-1, kids), axis=1).reshape(a.shape[:-1])
     while a.shape[-1] > 1:
         a = combine(a[..., 0::2], a[..., 1::2])
     return a[..., 0]
 
 
-class _Tail:
-    """A step function's DP from its top level down, for the grids of one pass.
+def _as_rows(a: np.ndarray, n: int, level: int) -> np.ndarray:
+    """The cells of grids of (2**level,) * n cells in C order, one grid per
+    row of `a`, as the rows of their level: grid by grid, each cell's
+    children in one block in C order of their axis bits, the blocks in the
+    order of their parents."""
+    bits = a.reshape((len(a),) + (2,) * (n * level))  # axis j's bit of level l + 1 on axis 1 + j * level + l
+    return bits.transpose([0] + [1 + j * level + l for l in range(level) for j in range(n)]).reshape(-1)
 
-    Only the mixed cells get children: those that two or more pieces
-    meet, or one piece that does not cover them.  A pure cell, which one
-    piece covers and no other meets, has its best subtree in closed form:
-    splitting it multiplies its score by 2**(n*p*alpha), so at horizon H
-    a pure cell of level d is worth its score for alpha <= 0 (kept whole,
-    as the dense tie rule keeps it) and score * 2**(n*p*alpha*(H - d))
-    for alpha > 0 (split down to the horizon).  Empty cells drop out.  A
-    cell's lower corner is origin + w * i at every level, as in the dense
-    levels, and the mass of a mixed cell is summed up from its children in
-    _coarsen's order.
 
-    Level top + k holds the arrays mass[k] (integral |f|**q, or sup |f|
-    for q = inf), pure[k] (exactly one piece meets the cell, and it
-    covers the cell), mixed[k] (the rows refined one level further),
-    score[k] and keep[k] (kept whole at the last horizon) over its rows.
-    At the top the rows are the top cells a piece meets; below it they
-    are the 2**n children, empty ones too, of each mixed cell one level
-    up, in blocks of 2**n in the order of those parents, so that row r's
-    parent is the (r >> n)-th.
+class _Levels:
+    """The DP of the grids of one pass, each level one flat array of rows.
+
+    Level 0 has one row per grid.  Level d + 1 holds the 2**n children of
+    each refined row of level d, in blocks of 2**n in the order of those
+    parents and in C order of their axis bits within a block, so that row
+    r's parent is the (r >> n)-th refined row.  Above the top level every
+    row is refined, so each level down to the top holds all of its cells.
+    A radial power's top is its depth.  A step function's top has at most
+    2**_TOP_BITS cells per grid, and below it only the mixed cells are
+    refined: those that two or more pieces meet, or one piece that does
+    not cover them.  A pure cell, which one piece covers and no other meets,
+    has its best subtree in closed form: splitting it multiplies its score
+    by 2**(n*p*alpha), so at horizon H a pure cell of level d is worth its
+    score for alpha <= 0 (kept whole) and score * 2**(n*p*alpha*(H - d))
+    for alpha > 0 (split down to the horizon).  Empty cells drop out.
+
+    Level d holds score[d] and keep[d] (kept whole at the last horizon)
+    over its rows, and above the last level pure[d] and refined[d] (the
+    refined rows, slice(None) for all of them).  The top masses (integral
+    |f|**q, or sup |f| for q = inf) are summed from _step_cell_pairs or
+    gathered from grid_cell_values; a refined row's mass is summed up from
+    its children.  A cell's lower corner is origin + w * i at every level.
     """
 
-    def __init__(self, f: StepFunction, origins: np.ndarray, side: float, top: int, depth: int,
-                 params: ParamSpace, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], top_mass: np.ndarray):
-        """`pairs` are the grids' top-level (piece, flat, volume) pairs from
-        _step_cell_pairs, and `top_mass` their masses from _step_cell_masses;
-        the masses of the mixed top cells in it are replaced by the sums of
-        their children."""
-        n = origins.shape[1]
-        kids, cells = 1 << n, 1 << top
-        self.n, self.top, self.depth, self.params = n, top, depth, params
+    def __init__(self, f: FunctionLike, origins: np.ndarray, side: float, top: int, depth: int,
+                 params: ParamSpace):
+        grids, n = origins.shape
+        cells = 1 << top
+        self.n, self.side, self.depth, self.params = n, side, depth, params
+        self.refined: list[slice | np.ndarray] = [slice(None)] * top
+        self.pure = [np.zeros(grids << (n * d), dtype=bool) for d in range(top)]
+        if isinstance(f, StepFunction):
+            from_top = self._refine(f, origins, top)
+        else:
+            from_top = [_as_rows(grid_cell_values(f, origins, side / cells, cells, params.q), n, top)]
+        masses: list[np.ndarray | None] = [None] * top + from_top
+        # each level's masses are scored and then dropped on the way up
+        combine = np.maximum if math.isinf(params.q) else np.add
+        self.score: list[np.ndarray] = []
+        for d in range(depth, -1, -1):
+            mass = masses.pop()
+            if d < depth:  # a refined row's mass is summed up from its children
+                up = _pair_sums(below, 1 << n, combine, d == 0)
+                if mass is None:
+                    mass = up
+                else:
+                    mass[self.refined[d]] = up
+            self.score.insert(0, _scores((side / (1 << d)) ** n, mass, params))
+            below = mass
+        self.keep = [np.ones(len(score), dtype=bool) for score in self.score]
+
+    def _refine(self, f: StepFunction, origins: np.ndarray, top: int) -> list[np.ndarray]:
+        """The masses of a step function's levels top..depth, refining the
+        mixed rows of each.  The (piece, cell, volume) pairs of the top
+        cells are scattered once, and each level splits the pairs of its
+        mixed rows among their children."""
+        n, side, depth, params = self.n, self.side, self.depth, self.params
+        grids, kids, cells = len(origins), 1 << n, 1 << top
         lows, sides, heights = f._arrays
         lows = lows.reshape(len(sides), n)  # (0, n) for a function without pieces
         weight = heights if math.isinf(params.q) else heights ** params.q
-        # the pairs (row, piece, volume) of the top cells a piece meets
-        piece, flat, vol = pairs
+        piece, at, vol = _step_cell_pairs(f, origins, side / cells, cells)
         live = heights[piece] > 0.0
-        piece, flat, vol = piece[live], flat[live], vol[live]
-        met = np.bincount(flat, minlength=top_mass.size) > 0
-        self.top_cells = np.flatnonzero(met)  # grid * cells**n + C index of the cell
-        row = (np.cumsum(met) - 1)[flat]
-        grid, index = np.divmod(self.top_cells, cells ** n)
-        idx = list(np.unravel_index(index, (cells,) * n))
-        full = np.ones(len(piece), dtype=bool)
-        for j in range(n):
-            lo = origins[grid, j] + side / cells * idx[j]
-            full &= _overlap_widths(lows[piece, j], sides[piece], lo[row], side / cells) == side / cells
-        bits = (np.arange(kids)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # child c's bit on axis j
-        self.mass, self.pure, self.mixed = [top_mass.flat[self.top_cells]], [], []
-        size = len(self.top_cells)
+        piece, at, vol = piece[live], at[live], vol[live]
+        # each pair's row, from the C index of each top row
+        flat = _as_rows(np.arange(grids * cells ** n).reshape(grids, -1), n, top)
+        row = np.empty_like(flat)
+        row[flat] = np.arange(len(flat))
+        row, size = row[at], len(flat)
+        masses = []
         for d in range(top, depth + 1):
-            if d > top:
-                if math.isinf(params.q):
-                    self.mass.append(np.zeros(size))
-                    np.maximum.at(self.mass[-1], row, weight[piece])
-                else:
-                    # an empty bincount is an integer array
-                    self.mass.append(np.bincount(row, weights=weight[piece] * vol, minlength=size).astype(float))
-            count = np.bincount(row, minlength=size)
-            self.pure.append((count == 1) & (np.bincount(row[full], minlength=size) == 1))
-            split = (count > 0) & ~self.pure[-1] if d < depth else np.zeros(size, dtype=bool)
-            self.mixed.append(np.flatnonzero(split))
+            if math.isinf(params.q):
+                masses.append(np.zeros(size))
+                np.maximum.at(masses[-1], row, weight[piece])
+            else:
+                # an empty bincount is an integer array
+                masses.append(np.bincount(row, weights=weight[piece] * vol, minlength=size).astype(float))
             if d == depth:
                 break
+            if d == top:  # each top pair's grid and cell, and whether its piece covers the cell
+                grid, index = np.divmod(at, cells ** n)
+                idx = np.unravel_index(index, (cells,) * n)
+                w, full = side / cells, np.ones(len(piece), dtype=bool)
+                for j in range(n):
+                    full &= _overlap_widths(lows[piece, j], sides[piece], origins[grid, j] + w * idx[j], w) == w
+                bits = (np.arange(kids)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # child c's bit on axis j
+            count = np.bincount(row, minlength=size)
+            self.pure.append((count == 1) & (np.bincount(row[full], minlength=size) == 1))
+            split = (count > 0) & ~self.pure[-1]
+            self.refined.append(np.flatnonzero(split))
             # the pairs of the mixed cells, split among their children
             on = split[row]
-            row, piece = (np.cumsum(split) - 1)[row[on]], piece[on]
-            if d == top:
-                grid, idx = grid[self.mixed[-1]], [i[self.mixed[-1]] for i in idx]
-            else:  # from the grid and index of each row's parent
-                parent, bit = self.mixed[-1] >> n, self.mixed[-1] & (kids - 1)
-                grid, idx = grid[parent], [2 * i[parent] + bits[bit, j] for j, i in enumerate(idx)]
+            row, piece, grid, idx = (np.cumsum(split) - 1)[row[on]], piece[on], grid[on], [i[on] for i in idx]
             w = side / (1 << (d + 1))
             vol = np.ones((len(piece), 1))
             full = np.ones((len(piece), 1), dtype=bool)
             for j in range(n):
                 low, piece_side = lows[piece, j], sides[piece]
-                widths = np.stack([_overlap_widths(low, piece_side, (origins[grid, j] + w * (2 * idx[j] + b))[row], w)
+                widths = np.stack([_overlap_widths(low, piece_side, origins[grid, j] + w * (2 * idx[j] + b), w)
                                    for b in (0, 1)], axis=1)
                 vol = (vol[:, :, None] * widths[:, None, :]).reshape(len(piece), 2 << j)
                 full = (full[:, :, None] & (widths == w)[:, None, :]).reshape(len(piece), 2 << j)
             hit = np.flatnonzero(vol)
-            pair = hit >> n
-            row, piece = (row[pair] << n) | (hit & (kids - 1)), piece[pair]
+            pair, kid = hit >> n, hit & (kids - 1)
+            row, piece, grid = (row[pair] << n) | kid, piece[pair], grid[pair]
+            idx = [2 * i[pair] + bits[kid, j] for j, i in enumerate(idx)]
             vol, full = vol.ravel()[hit], full.ravel()[hit]
-            size = len(grid) << n
-        # the mixed cells' masses, from the deepest level up
-        combine = np.maximum if math.isinf(params.q) else np.add
-        for k in range(depth - top - 1, -1, -1):
-            self.mass[k][self.mixed[k]] = _pair_sums(self.mass[k + 1], kids, combine)
-        top_mass.flat[self.top_cells] = self.mass[0]
-        self.score = [_scores((side / (1 << d)) ** n, mass, params) for d, mass in enumerate(self.mass, top)]
-        self.keep = [np.ones(len(mass), dtype=bool) for mass in self.mass]
-        self.shape = top_mass.shape
+            size = len(self.refined[-1]) << n
+        return masses
 
-    def best(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each top cell's best score at the horizons top + 1 .. depth (axis
-        0), and whether it is kept whole at the last one.  Sets `keep` for
-        the last horizon."""
-        n, top, depth, alpha = self.n, self.top, self.depth, self.params.alpha
-        # at level top + k, best[h] is each row's best score at horizon top + k + h
-        best = self.score[-1][None]
-        for k in range(depth - top - 1, -1, -1):
-            score, pure, mixed = self.score[k], self.pure[k], self.mixed[k]
-            split = _pair_sums(best, 1 << n, np.add)
-            best = np.repeat(score[None], depth - top - k + 1, axis=0)
-            if alpha > 0.0:
-                best[:, pure] *= 2.0 ** (n * self.params.p * alpha * np.arange(len(best)))[:, None]
-            best[1:, mixed] = np.maximum(score[mixed], split)
-            self.keep[k][pure] = (alpha <= 0.0) | (score[pure] == 0.0)
-            self.keep[k][mixed] = score[mixed] >= split[-1]
-        size = math.prod(self.shape)
-        out = np.zeros((depth - top, size))
-        out[:, self.top_cells] = best[1:]
-        kept = np.ones(size, dtype=bool)
-        kept[self.top_cells] = self.keep[0]
-        return out.reshape((depth - top,) + self.shape), kept.reshape(self.shape)
+    def best(self) -> np.ndarray:
+        """Each grid's best score at the horizons 0..depth (axis 0).  Sets
+        keep for the last horizon."""
+        n, depth, p, alpha = self.n, self.depth, self.params.p, self.params.alpha
+        # at level d, best[h] is each row's best score at horizon d + h
+        best = self.score[depth][None]
+        for d in range(depth - 1, -1, -1):
+            score, pure, refined = self.score[d], self.pure[d], self.refined[d]
+            split = _pair_sums(best, 1 << n, np.add, d == 0)
+            best = np.repeat(score[None], depth - d + 1, axis=0)
+            if alpha > 0.0:  # a pure cell of positive score is split down to the horizon
+                best[:, pure] *= 2.0 ** (n * p * alpha * np.arange(len(best)))[:, None]
+                self.keep[d][pure] = score[pure] == 0.0
+            best[1:, refined] = np.maximum(score[refined], split)
+            self.keep[d][refined] = score[refined] >= split[-1]
+        return best
 
-    def family(self, origin: tuple[float, ...], side: float, grid: int, index: tuple[int, ...]) -> list[Cube]:
-        """The cells kept whole at the last horizon below one top cell that is
-        split, in _read_family's order."""
-        n, top = self.n, self.top
-        children = list(iter_product((0, 1), repeat=n))[::-1]  # popped in dyadic_children order
-        kids = [sum(b << (n - 1 - j) for j, b in enumerate(bits)) for bits in children]
-        flat = grid * (1 << top * n) + int(np.ravel_multi_index(index, (1 << top,) * n))
+    def family(self, origin: tuple[float, ...], grid: int) -> CubeFamily:
+        """The achieving family of one grid, read top-down from the keep arrays.
+
+        Cells of zero score are left out.  The order is depth-first with
+        children in dyadic_children order, which for n = 1 is left to right.
+        """
+        n, depth, side = self.n, self.depth, self.side
+        keep, score, pure, refined = self.keep, self.score, self.pure, self.refined
+        # (code, bits) of each child, popped in dyadic_children order, which is code order
+        children = list(enumerate(iter_product((0, 1), repeat=n)))[::-1]
         cells = []
         # (level, multi-index, row of the level), the row None below a split pure cell
-        stack: list[tuple[int, tuple[int, ...], int | None]] = [
-            (top, index, int(np.searchsorted(self.top_cells, flat)))
-        ]
+        stack: list[tuple[int, tuple[int, ...], int | None]] = [(0, (0,) * n, grid)]
         while stack:
             d, i, row = stack.pop()
-            if row is None:
-                kept, score, pure = d == self.depth, 1.0, True
-            else:
-                kept, score, pure = self.keep[d - top][row], self.score[d - top][row], self.pure[d - top][row]
-            if kept:
-                if score > 0.0:
+            if d == depth if row is None else keep[d][row]:
+                if row is None or score[d][row] > 0.0:
                     w = side / (1 << d)
                     cells.append(Cube(tuple(o + w * k for o, k in zip(origin, i)), w))
                 continue
-            if pure:
-                rows = [None] * len(kids)
+            twice = [2 * k for k in i]
+            if row is None or pure[d][row]:
+                stack.extend((d + 1, tuple(map(add, twice, bits)), None) for _, bits in children)
             else:
-                rank = int(np.searchsorted(self.mixed[d - top], row))
-                rows = [(rank << n) + c for c in kids]
-            stack.extend((d + 1, tuple(2 * k + b for k, b in zip(i, bits)), r) for bits, r in zip(children, rows))
-        return cells
-
-
-def _read_family(
-    origin: tuple[float, ...],
-    side: float,
-    scores: list[np.ndarray],
-    keep: list[np.ndarray],
-    tail: _Tail | None,
-    grid: int,
-) -> CubeFamily:
-    """The achieving family of one grid, read top-down from the keep arrays
-    of its dense levels, and from the tail below a top cell that is split.
-
-    Cells of zero score are left out.  The order is depth-first with
-    children in dyadic_children order, which for n = 1 is left to right.
-    """
-    n = len(origin)
-    top = len(keep) - 1
-    children = list(iter_product((0, 1), repeat=n))[::-1]  # popped in dyadic_children order
-    cells = []
-    stack = [(0, (0,) * n)]
-    while stack:
-        d, i = stack.pop()
-        if keep[d][i]:
-            if scores[d][i] > 0.0:
-                w = side / (1 << d)
-                cells.append(Cube(tuple(o + w * k for o, k in zip(origin, i)), w))
-        elif d < top:
-            stack.extend((d + 1, tuple(2 * k + b for k, b in zip(i, bits))) for bits in children)
-        else:
-            cells.extend(tail.family(origin, side, grid, i))
-    return CubeFamily(tuple(cells))
+                rank = row if isinstance(refined[d], slice) else int(np.searchsorted(refined[d], row))
+                stack.extend((d + 1, tuple(map(add, twice, bits)), (rank << n) + c) for c, bits in children)
+        return CubeFamily(tuple(cells))
 
 
 def rm_norm_dyadic(
@@ -347,31 +319,21 @@ def rm_norm_dyadic(
     children.  The result is the max over grids, reported as the p-th
     root, with the achieving family as certificate and the per-depth
     running maxima as trace; of grids with equal best scores the first
-    in offset-product order wins.  A grid's finest level may hold at most
-    MAX_DP_CELLS cells, so depth * dim <= 24.
+    in offset-product order wins.  2**(dim * depth) may not exceed
+    MAX_DP_CELLS, so dim * depth <= 24; that many cells per grid are held
+    only for a radial power, on its finest level.
 
-    The grids run in passes, each one array pass with the grids on a
-    leading axis: their top-level cell masses come from one
-    grid_cell_values call, or from its two steps when a tail follows, and
-    the mass pyramid and the keep-or-split sweep work on every grid and
-    every horizon at once.  A pass holds at most _PASS_CELLS dense
-    top-level cells, or one grid when its top level alone has more.
-    Keep-whole arrays are built for the last horizon only, the one the
-    certificate is read from.
-
-    The dense pyramid of a step function stops at a top level of at most
-    2**_TOP_BITS cells per grid, min(depth, _TOP_BITS // dim).  Below it
-    only the mixed cells are refined, those that two or more pieces meet,
-    or one piece that does not cover them, starting from the (cell,
-    piece) pairs that the top masses were summed from, scattered once per
-    pass; the tail's arrays grow with the grids per pass.  A pure cell,
-    which one piece covers and no other meets, has a closed-form best
-    subtree: splitting it multiplies its score by 2**(n*p*alpha), so it
-    is kept whole for alpha <= 0 and split down to the horizon for
-    alpha > 0.  Empty cells drop out.  A mixed top cell's mass is summed
-    up from its children.  A radial power has no pure cell, so its top
-    is the full depth.  Raises ValueError if the best score overflows a
-    double.
+    The grids run in passes of _Levels, each one array pass with the
+    grids' rows side by side: the masses are summed up and the
+    keep-or-split sweep runs from the last level to the root for every
+    grid and every horizon at once.  A pass holds at most _PASS_CELLS
+    top-level cells, or one grid when its top level alone has more.  The
+    top level is the depth for a radial power; for a step function it is
+    min(depth, _TOP_BITS // dim), and below it only the cells a piece face
+    cuts are refined, starting from the (cell, piece) pairs that the top
+    masses are summed from, scattered once per pass.  Keep-whole arrays
+    are built for the last horizon only, the one the certificate is read
+    from.  Raises ValueError if the best score overflows a double.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")
@@ -387,54 +349,22 @@ def rm_norm_dyadic(
         raise ValueError("offsets must lie in [0, 1)")
 
     origins = np.array(root.lower) + np.array(list(iter_product(offset_list, repeat=n))) * root.side
-    combine = np.maximum if math.isinf(params.q) else np.add
     top = min(depth, _TOP_BITS // n) if isinstance(f, StepFunction) else depth
+    per_pass = max(1, _PASS_CELLS >> (n * top))
     best_by_depth = [0.0] * (depth + 1)
     best_value = -1.0
     best_family: CubeFamily = CubeFamily(())
-    width, cells = root.side / (1 << top), 1 << top
-    per_pass = max(1, _PASS_CELLS >> (n * top))
     with np.errstate(over="ignore"):  # an overflow shows as an infinite score, refused below
         for first in range(0, len(origins), per_pass):
             batch = origins[first:first + per_pass]
-            if top < depth:  # a step function: one scatter feeds its top masses and its tail
-                pairs = _step_cell_pairs(f, batch, width, cells)
-                values = _step_cell_masses(f, pairs, (len(batch),) + (cells,) * n, params.q)
-                tail = _Tail(f, batch, root.side, top, depth, params, pairs, values)
-            else:
-                values, tail = grid_cell_values(f, batch, width, cells, params.q), None
-            scores = []
-            for d in range(top, -1, -1):
-                scores.append(_scores((root.side / (1 << d)) ** n, values, params))
-                if d:
-                    values = _coarsen(values, combine)
-            scores.reverse()
-
-            # best[k] holds each cell's best score at horizon d + k, for every
-            # horizon at once; keep arrays are built for the last horizon only
-            if tail is None:
-                best, kept = scores[depth][None], np.ones(scores[depth].shape, dtype=bool)
-            else:
-                best, kept = tail.best()
-                best = np.concatenate([scores[top][None], best])
-            keep = [kept]
-            for d in range(top - 1, -1, -1):
-                split = _coarsen(best.reshape((-1,) + best.shape[2:]), np.add)
-                split = split.reshape(best.shape[:2] + split.shape[1:])
-                keep.append(scores[d] >= split[-1])
-                last = np.where(keep[-1], scores[d], split[-1])
-                best = np.concatenate([scores[d][None], np.maximum(scores[d], split[:-1]), last[None]])
-            keep.reverse()
-            for horizon in range(depth):
-                best_by_depth[horizon] = max(best_by_depth[horizon], float(best[horizon].max()))
-            best = best[depth].reshape(-1)
-            g = int(np.argmax(best))  # the first best grid, as the strict > keeps the first across passes
-            best_by_depth[depth] = max(best_by_depth[depth], float(best[g]))
-            if best[g] > best_value:
-                best_value = float(best[g])
-                best_family = _read_family(
-                    tuple(batch[g].tolist()), root.side, [s[g] for s in scores], [k[g] for k in keep], tail, g
-                )
+            levels = _Levels(f, batch, root.side, top, depth, params)
+            best = levels.best()
+            for horizon, value in enumerate(best.max(axis=1).tolist()):
+                best_by_depth[horizon] = max(best_by_depth[horizon], value)
+            g = int(np.argmax(best[depth]))  # the first best grid, as the strict > keeps the first across passes
+            if best[depth, g] > best_value:
+                best_value = float(best[depth, g])
+                best_family = levels.family(tuple(batch[g].tolist()), g)
     _refuse_overflow(best_value, f, params.q)
 
     running = np.maximum.accumulate(best_by_depth).tolist()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rmlab.analysis import (
     PowerSumReport,
-    check_embedding,
     check_holder_cube,
     check_power_sum_inequalities,
     classify,
@@ -21,7 +20,7 @@ from rmlab.analysis import (
 )
 from rmlab.constructions import build_tree, sparse_family, sparse_function
 from rmlab.funcrep import ParamSpace, StepFunction
-from rmlab.geometry import Cube, CubeFamily
+from rmlab.geometry import Cube
 from rmlab.norms import rm_norm_dyadic, rm_score
 from rmlab.series import harmonic_number
 from rmlab.verification import random_dyadic_step, random_intermediate_params
@@ -130,10 +129,6 @@ class TestHolderAndEmbedding:
             cube = Cube((float(rng.uniform(-0.5, 0.5)),), float(rng.uniform(0.3, 2.0)))
             assert check_holder_cube(f, cube, params)
 
-    def test_embedding_zero_function(self):
-        zero = StepFunction(((UNIT, 0.0),))
-        assert check_embedding(zero, [CubeFamily((UNIT,))], INTERMEDIATE)
-
     def test_embedding_sparse_own_family(self):
         f = sparse_function(100)
         fam = sparse_family(100)
@@ -141,7 +136,6 @@ class TestHolderAndEmbedding:
         score = rm_score(f, fam, params, check=False)
         h100 = harmonic_number(100)
         assert score ** (1.0 / params.p) <= h100 ** (1.0 / params.theta) + 1e-12
-        assert check_embedding(f, [fam], params)
 
 
 class TestClassify:

@@ -13,7 +13,6 @@ from rmlab.funcrep import (
     RadialPower,
     StepFunction,
     _overlap_widths,
-    distribution_measure,
     evaluate,
     lebesgue_norm,
     lq_norm_on_cube,
@@ -166,29 +165,6 @@ class TestLebesgueNorm:
 
 
 class TestDistributionAndWeakNorm:
-    def test_distribution_examples(self):
-        f = StepFunction(((Cube((0.0,), 1.0), 1.0),))
-        assert distribution_measure(f, 0.5) == 1.0
-        assert distribution_measure(f, 1.0) == 0.0
-        sf = sparse_function(3)
-        assert distribution_measure(sf, 0.5) == pytest.approx(1 + 0.5 + 1 / 3, rel=1e-14)
-
-    def test_distribution_monotone_right_continuous(self):
-        rng = np.random.default_rng(13)
-        f = StepFunction(
-            tuple(
-                (Cube((float(3 * i),), 1.0), float(rng.uniform(0, 3)))
-                for i in range(6)
-            )
-        )
-        levels = np.linspace(0.0, 3.5, 200)
-        vals = [distribution_measure(f, float(t)) for t in levels]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        heights = {h for _, h in f.pieces}
-        for t in np.linspace(0.01, 3.4, 57):
-            if min(abs(t - h) for h in heights) > 1e-3:
-                assert distribution_measure(f, float(t)) == distribution_measure(f, float(t) + 1e-9)
-
     def test_weak_norm_examples(self):
         f = StepFunction(((Cube((0.0,), 1.0), 1.0),))
         assert weak_norm(f, 2.0, -0.25) == 1.0

@@ -14,7 +14,6 @@ from rmlab.geometry import (
     box_distance,
     dyadic_children,
     interiors_pairwise_disjoint,
-    overlap_volume,
     ring_subdivision,
     shell_partition_1d,
 )
@@ -232,19 +231,6 @@ class TestShellPartition:
     def test_ordering_violation(self):
         with pytest.raises(ValueError):
             shell_partition_1d(0.5, 1.0, 1)
-
-
-class TestOverlapVolume:
-    def test_basic(self):
-        a = Cube((0.0, 0.0), 2.0)
-        assert overlap_volume(a, Cube((1.0, 1.0), 2.0)) == 1.0
-        assert overlap_volume(a, Cube((2.0, 0.0), 1.0)) == 0.0
-
-    def test_tiny_cube_at_large_position(self):
-        # side far below the ulp of the position must not be absorbed
-        tiny = Cube((0.1875,), 2.0 ** -84)
-        big = Cube((-1.0,), 2.0)
-        assert overlap_volume(tiny, big) == tiny.side
 
 
 class TestFamilyAndDomain:

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from rmlab import funcrep, norms
 from rmlab.estimate import LOWER_BOUND
-from rmlab.funcrep import ParamSpace, RadialPower, StepFunction, grid_cell_values, lebesgue_norm, lq_norm_on_cube
+from rmlab.funcrep import ParamSpace, RadialPower, StepFunction, lebesgue_norm, lq_norm_on_cube
 from rmlab.geometry import Cube, CubeFamily, Domain, dyadic_children
 from rmlab.norms import (
     DEFAULT_OFFSETS,
     MAX_DP_CELLS,
     MAX_INTERVAL_CELLS,
-    _coarsen,
+    _pair_sums,
     morrey_norm_estimate,
     riesz_norm,
     rm_norm_dyadic,
@@ -73,10 +73,25 @@ def bruteforce_1d(f, root, m, params):
 
 
 def _coarsen_by_reduce(a, combine):
-    """The reshape-and-reduce coarsening the strided kernel replaced, grid by
-    grid along axis 0: the test reference."""
+    """Each block of 2**n cells combined into its parent by a reshape and a
+    reduce, grid by grid along axis 0: the test reference."""
     grids, half, n = a.shape[0], a.shape[1] // 2, a.ndim - 1
     return combine.reduce(a.reshape((grids,) + (half, 2) * n), axis=tuple(range(2, 2 * n + 1, 2)))
+
+
+def as_blocks(a):
+    """The cells of grids `a`, (grids,) + (cells,) * n with cells even, as
+    rows in blocks of 2**n, one block per parent: the children in C order
+    of their axis bits, the blocks in C order of their parents."""
+    grids, half, n = a.shape[0], a.shape[1] // 2, a.ndim - 1
+    split = a.reshape((grids,) + (half, 2) * n)
+    return split.transpose((0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2))).reshape(-1)
+
+
+def coarsen_rows(a, combine):
+    """_pair_sums on the blocks of `a`, a root level when it has 2 cells per
+    axis, and the reference, both in C order of the parents."""
+    return _pair_sums(as_blocks(a), 1 << (a.ndim - 1), combine, a.shape[1] == 2), _coarsen_by_reduce(a, combine).ravel()
 
 
 def two_step():
@@ -239,14 +254,16 @@ class TestCoarsen:
     @pytest.mark.parametrize("dim, cells", [(1, 2), (1, 6), (1, 512), (2, 2), (2, 6), (2, 512)])
     def test_bit_identical_to_reduce_in_one_and_two_dims(self, dim, cells, combine):
         a = 10.0 ** np.random.default_rng(cells * dim).uniform(-3.0, 3.0, (3,) + (cells,) * dim)
-        assert np.array_equal(_coarsen(a, combine), _coarsen_by_reduce(a, combine))
+        got, want = coarsen_rows(a, combine)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("cells", [2, 4, 16, 64])
     def test_three_dims(self, cells):
         a = 10.0 ** np.random.default_rng(cells).uniform(-3.0, 3.0, (3,) + (cells,) * 3)
-        assert np.array_equal(_coarsen(a, np.maximum), _coarsen_by_reduce(a, np.maximum))
-        want = _coarsen_by_reduce(a, np.add)
-        assert np.max(np.abs(_coarsen(a, np.add) - want) / want) <= 4 * np.finfo(float).eps
+        got, want = coarsen_rows(a, np.maximum)
+        assert np.array_equal(got, want)
+        got, want = coarsen_rows(a, np.add)
+        assert np.max(np.abs(got - want) / want) <= 4 * np.finfo(float).eps
 
 
 class TestDyadicOptimizer:
@@ -378,9 +395,8 @@ class TestDyadicOptimizer:
         params = random_intermediate_params(rng)
         once = rm_norm_dyadic(f, square, 3, params, offsets=(0.5, 0.0))
         grids = []
-        monkeypatch.setattr(
-            norms, "grid_cell_values", lambda f, o, *a: grids.extend(map(tuple, o.tolist())) or grid_cell_values(f, o, *a)
-        )
+        pairs = funcrep._step_cell_pairs
+        monkeypatch.setattr(norms, "_step_cell_pairs", lambda f, o, *a: grids.extend(map(tuple, o.tolist())) or pairs(f, o, *a))
         again = rm_norm_dyadic(f, square, 3, params, offsets=(0.5, 0.0, 0.5, 0.0, 0.0))
         assert (again.value, again.certificate, again.trace) == (once.value, once.certificate, once.trace)
         assert grids == [(0.0, 0.0), (0.0, -4.0), (-4.0, 0.0), (-4.0, -4.0)]
@@ -413,11 +429,10 @@ def counting(mp, name, count):
 
 def with_pass_sizes(f, root, depth, params, offsets):
     """rm_norm_dyadic on a step function and the number of grids in each of
-    its passes, counted at _step_cell_masses, which every pass calls: from
-    grid_cell_values without a tail, and directly with one."""
+    its passes, counted at _step_cell_pairs, which every pass calls once."""
     sizes = []
     with pytest.MonkeyPatch.context() as mp:
-        counting(mp, "_step_cell_masses", lambda f, pairs, shape, q: sizes.append(shape[0]))
+        counting(mp, "_step_cell_pairs", lambda f, origins, width, cells: sizes.append(len(origins)))
         est = rm_norm_dyadic(f, root, depth, params, offsets=offsets)
     return est, sizes
 
