@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -141,10 +142,12 @@ class StepFunction:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lows = np.array([c.lower for c, _ in self.pieces], dtype=float)
-        sides = np.array([c.side for c, _ in self.pieces], dtype=float)
-        heights = np.array([h for _, h in self.pieces], dtype=float)
-        return lows, sides, heights
+        """Lows (k, n), sides (k,) and heights (k,) of the k pieces; lows is (0, 0) without pieces."""
+        k, n = len(self.pieces), self.pieces[0][0].dim if self.pieces else 0
+        lows = np.fromiter(chain.from_iterable(c.lower for c, _ in self.pieces), float, count=k * n)
+        sides = np.fromiter((c.side for c, _ in self.pieces), float, count=k)
+        heights = np.fromiter((h for _, h in self.pieces), float, count=k)
+        return lows.reshape(k, n), sides, heights
 
     def validate_disjoint_supports(self) -> None:
         if not interiors_pairwise_disjoint([c for c, _ in self.pieces]):
@@ -254,11 +257,11 @@ def grid_cell_values(
     `origins` has shape (G, n), one grid per row; the result has shape
     (G,) + (cells,) * n, and cube i (a multi-index) of grid g has lower
     corner origins[g] + width * i and side width.  Step functions sum
-    (take the max of) their `_step_cell_pairs` in `_step_cell_masses`,
-    each cell in piece order, as with one grid alone.  Radial powers send
-    every cell of every grid through one quadrature batch
-    (power_integrals), a cell on the origin corner as its ring of regular
-    boxes; for q = inf the sup is read off each cell's corners.
+    (take the max of) the terms of their `_step_cell_pairs`, each cell in
+    piece order, as with one grid alone.  Radial powers send every cell of
+    every grid through one quadrature batch (power_integrals), a cell on
+    the origin corner as its ring of regular boxes; for q = inf the sup is
+    read off each cell's corners.
     """
     origins = np.asarray(origins, dtype=float)
     grids, n = origins.shape
@@ -270,58 +273,51 @@ def grid_cell_values(
         return _radial_cell_values(f, lows.reshape(-1, n), width, q).reshape((grids,) + shape)
     if not isinstance(f, StepFunction):
         raise TypeError(f"cannot integrate {type(f).__name__}")
-    return _step_cell_masses(f, _step_cell_pairs(f, origins, width, cells), (grids,) + shape, q)
-
-
-def _step_cell_masses(
-    f: StepFunction, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, ...], q: float
-) -> np.ndarray:
-    """The cell masses of grid_cell_values, of shape `shape`, from the
-    (piece, flat, volume) pairs of _step_cell_pairs: each cell sums (for
-    q = inf, takes the max of) its terms in pair order."""
-    piece, flat, vol = pairs
-    heights = f._arrays[2]
-    size = math.prod(shape)
+    piece, flat, vol, _ = _step_cell_pairs(f, origins, width, cells)
+    heights, size = f._arrays[2], grids * cells ** n
     if math.isinf(q):
         out = np.zeros(size)
         np.maximum.at(out, flat, heights[piece])
     else:
         # a bincount of no pairs (a function without pieces) is an integer array
         out = np.bincount(flat, weights=heights[piece] ** q * vol, minlength=size).astype(float, copy=False)
-    return out.reshape(shape)
+    return out.reshape((grids,) + shape)
 
 
 def _step_cell_pairs(
     f: StepFunction, origins: np.ndarray, width: float, cells: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(piece, flat, volume) of every piece and grid cell that meet in positive volume.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(piece, flat, volume, cover) of every piece and grid cell that meet in positive volume.
 
     The grids are those of grid_cell_values; `flat` indexes their cells,
     (G,) + (cells,) * n in C order, and the pairs of one cell come in
-    piece order.  The pairs are scattered per axis and per distinct
-    origin on that axis: the (piece, cell, overlap width) triples of the
-    cells a piece meets, joined per piece over the axes into the product
-    of the axes' distinct origins, from which each grid takes its row.
-    The work grows with the cells covered, not pieces x cells.
+    piece order.  `cover` is True where the piece covers the cell: its
+    overlap width is the cell width on every axis.  The pairs are
+    scattered per axis and per distinct origin on that axis: the (piece,
+    cell, overlap width) triples of the cells a piece meets, joined per
+    piece over the axes into the product of the axes' distinct origins,
+    from which each grid takes its row.  The work grows with the cells
+    covered, not pieces x cells.
     """
     grids, n = origins.shape
     if not f.pieces:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool)
     if f.dim != n:
         raise DimensionMismatchError("grid dim != function dim")
     lows, sides, _ = f._arrays
     columns = origins.T.tolist()
     axes = [list(dict.fromkeys(column)) for column in columns]  # distinct origins per axis
     counts = [len(at) for at in axes]
-    # (piece, flat index into tuple(counts) + (cells,) * n in C order, volume)
-    triples = (np.arange(len(sides)), np.zeros(len(sides), dtype=np.int64), np.ones(len(sides)))
+    # (piece, flat index into tuple(counts) + (cells,) * n in C order, volume, cover)
+    pairs = (np.arange(len(sides)), np.zeros(len(sides), dtype=np.int64), np.ones(len(sides)),
+             np.ones(len(sides), dtype=bool))
     for j, at in enumerate(axes):
         stride, per_origin = cells ** (n - 1 - j), cells ** n * math.prod(counts[j + 1:])
-        parts = [_scatter_axis(triples, lows[:, j], sides, o, width, cells, stride, k * per_origin)
+        parts = [_scatter_axis(pairs, lows[:, j], sides, o, width, cells, stride, k * per_origin)
                  for k, o in enumerate(at)]
         # the origins' parts hold disjoint cells, so each cell's terms stay in piece order
-        triples = parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
-    piece, flat, vol = triples
+        pairs = parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+    piece, flat, vol, cover = pairs
     rows = [0] * grids  # each grid's C index into tuple(counts)
     for at, column in zip(axes, columns):
         rows = [r * len(at) + at.index(v) for r, v in zip(rows, column)]
@@ -329,13 +325,13 @@ def _step_cell_pairs(
         per_grid = cells ** n
         hits = [np.flatnonzero(flat // per_grid == r) for r in rows]
         take = np.concatenate(hits)
-        piece, vol = piece[take], vol[take]
+        piece, vol, cover = piece[take], vol[take], cover[take]
         flat = flat[take] % per_grid + np.repeat(np.arange(grids) * per_grid, [len(h) for h in hits])
-    return piece, flat, vol
+    return piece, flat, vol, cover
 
 
 def _scatter_axis(
-    triples: tuple[np.ndarray, np.ndarray, np.ndarray],
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     low: np.ndarray,
     sides: np.ndarray,
     origin: float,
@@ -343,15 +339,16 @@ def _scatter_axis(
     cells: int,
     stride: int,
     offset: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Repeat each (piece, flat index, volume) triple for every cell of one
-    grid axis that its piece meets, the pieces starting at `low` on this
-    axis and cell i at origin + width * i.  The flat index gains
-    i * stride + offset and the volume the overlap width; triples of zero
-    volume are dropped.  The unfiltered arrays are freed on return, before
-    the caller allocates again.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Repeat each (piece, flat index, volume, cover) pair for every cell of
+    one grid axis that its piece meets, the pieces starting at `low` on
+    this axis and cell i at origin + width * i.  The flat index gains
+    i * stride + offset, the volume the overlap width, and the cover flag
+    whether that width is the cell width; pairs of zero volume are dropped.
+    The unfiltered arrays are freed on return, before the caller allocates
+    again.
     """
-    piece, flat, vol = triples
+    piece, flat, vol, cover = pairs
     # every cell within one index of the float estimate of the piece's
     # first and last cell; the exact widths below drop the misses
     lo = np.clip((low - origin) / width, -1.0, cells)
@@ -364,11 +361,12 @@ def _scatter_axis(
     cell = first[piece] + run
     w = _overlap_widths(low[piece], sides[piece], origin + width * cell, width)
     vol = np.repeat(vol, reps) * w
+    cover = np.repeat(cover, reps) & (w == width)
     cell *= stride
     cell += offset
     flat = np.repeat(flat, reps) + cell
     hit = vol > 0.0
-    return piece[hit], flat[hit], vol[hit]
+    return piece[hit], flat[hit], vol[hit], cover[hit]
 
 
 def _radial_cell_values(f: RadialPower, lows: np.ndarray, side: float, q: float) -> np.ndarray:

@@ -48,7 +48,7 @@ __all__ = [
 DEFAULT_OFFSETS: tuple[float, ...] = (0.0, 1.0 / 3.0, 2.0 / 3.0)
 # the DP's bound on 2**(dim * depth), so dim * depth <= 24: a radial power's
 # finest-level cells per grid.  A step function's complete levels stop at
-# 2**_TOP_BITS cells per grid, so for it the bound caps only the depth
+# 2**_TOP_BITS = 2**10 cells per grid, so for it the bound caps only the depth
 MAX_DP_CELLS = 1 << 24
 # grid cells of the O(m**2) interval DP
 MAX_INTERVAL_CELLS = 1 << 14
@@ -118,9 +118,11 @@ def _scores(volume: float | np.ndarray, mass: np.ndarray, params: ParamSpace) ->
 # gets a pass of its own.  A step function's refined levels grow with the
 # grids per pass
 _PASS_CELLS = 1 << 16
-# a step function's levels are complete down to 2**_TOP_BITS cells per grid;
-# below them only the cells a piece face cuts are refined
-_TOP_BITS = 12
+# a step function's levels are complete down to 2**_TOP_BITS cells per grid,
+# level 10 // dim; below them only the cells a piece face cuts are refined.
+# The sweep holds up to depth + 1 horizons per row, so every complete level
+# costs that many floats per cell
+_TOP_BITS = 10
 
 
 def _pair_sums(a: np.ndarray, kids: int, combine: np.ufunc, root: bool) -> np.ndarray:
@@ -156,8 +158,8 @@ class _Levels:
     r's parent is the (r >> n)-th refined row.  Above the top level every
     row is refined, so each level down to the top holds all of its cells.
     A radial power's top is its depth.  A step function's top has at most
-    2**_TOP_BITS cells per grid, and below it only the mixed cells are
-    refined: those that two or more pieces meet, or one piece that does
+    2**_TOP_BITS = 2**10 cells per grid, and below it only the mixed cells
+    are refined: those that two or more pieces meet, or one piece that does
     not cover them.  A pure cell, which one piece covers and no other meets,
     has its best subtree in closed form: splitting it multiplies its score
     by 2**(n*p*alpha), so at horizon H a pure cell of level d is worth its
@@ -166,10 +168,12 @@ class _Levels:
 
     Level d holds score[d] and keep[d] (kept whole at the last horizon)
     over its rows, and above the last level pure[d] and refined[d] (the
-    refined rows, slice(None) for all of them).  The top masses (integral
-    |f|**q, or sup |f| for q = inf) are summed from _step_cell_pairs or
-    gathered from grid_cell_values; a refined row's mass is summed up from
-    its children.  A cell's lower corner is origin + w * i at every level.
+    refined rows, slice(None) for all of them).  A cell's mass is integral
+    |f|**q, or sup |f| for q = inf.  A radial power's come from
+    grid_cell_values.  A step function's pure rows take the term of their
+    one pair from _step_cell_pairs, and its last level sums its pairs'
+    terms.  Every refined row's mass is summed up from its children.  A
+    cell's lower corner is origin + w * i at every level.
     """
 
     def __init__(self, f: FunctionLike, origins: np.ndarray, side: float, top: int, depth: int,
@@ -201,61 +205,68 @@ class _Levels:
 
     def _refine(self, f: StepFunction, origins: np.ndarray, top: int) -> list[np.ndarray]:
         """The masses of a step function's levels top..depth, refining the
-        mixed rows of each.  The (piece, cell, volume) pairs of the top
-        cells are scattered once, and each level splits the pairs of its
-        mixed rows among their children."""
+        mixed rows of each.  The (piece, cell, volume, cover) pairs of the
+        top cells are scattered once, and each level splits the pairs of its
+        mixed rows among their children.  Above the last level only the pure
+        rows get a mass, that of their one pair: a refined row's mass is
+        summed up from its children, and an empty row's is 0."""
         n, side, depth, params = self.n, self.side, self.depth, self.params
         grids, kids, cells = len(origins), 1 << n, 1 << top
         lows, sides, heights = f._arrays
         lows = lows.reshape(len(sides), n)  # (0, n) for a function without pieces
         weight = heights if math.isinf(params.q) else heights ** params.q
-        piece, at, vol = _step_cell_pairs(f, origins, side / cells, cells)
+        piece, at, vol, full = _step_cell_pairs(f, origins, side / cells, cells)
         live = heights[piece] > 0.0
-        piece, at, vol = piece[live], at[live], vol[live]
+        piece, at, vol, full = piece[live], at[live], vol[live], full[live]
         # each pair's row, from the C index of each top row
         flat = _as_rows(np.arange(grids * cells ** n).reshape(grids, -1), n, top)
         row = np.empty_like(flat)
         row[flat] = np.arange(len(flat))
         row, size = row[at], len(flat)
+        if top < depth:  # each top pair's grid and cell
+            grid, index = np.divmod(at, cells ** n)
+            idx = np.unravel_index(index, (cells,) * n)
+            bits = (np.arange(kids)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # child c's bit on axis j
         masses = []
-        for d in range(top, depth + 1):
-            if math.isinf(params.q):
-                masses.append(np.zeros(size))
-                np.maximum.at(masses[-1], row, weight[piece])
-            else:
-                # an empty bincount is an integer array
-                masses.append(np.bincount(row, weights=weight[piece] * vol, minlength=size).astype(float))
-            if d == depth:
-                break
-            if d == top:  # each top pair's grid and cell, and whether its piece covers the cell
-                grid, index = np.divmod(at, cells ** n)
-                idx = np.unravel_index(index, (cells,) * n)
-                w, full = side / cells, np.ones(len(piece), dtype=bool)
-                for j in range(n):
-                    full &= _overlap_widths(lows[piece, j], sides[piece], origins[grid, j] + w * idx[j], w) == w
-                bits = (np.arange(kids)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # child c's bit on axis j
+        for d in range(top, depth):
             count = np.bincount(row, minlength=size)
-            self.pure.append((count == 1) & (np.bincount(row[full], minlength=size) == 1))
-            split = (count > 0) & ~self.pure[-1]
+            alone = full & (count[row] == 1)  # the one pair of a pure row
+            lone = row[alone]
+            pure = np.zeros(size, dtype=bool)
+            pure[lone] = True
+            mass = np.zeros(size)
+            mass[lone] = weight[piece[alone]] if math.isinf(params.q) else weight[piece[alone]] * vol[alone]
+            masses.append(mass)
+            self.pure.append(pure)
+            split = (count > 0) & ~pure
             self.refined.append(np.flatnonzero(split))
             # the pairs of the mixed cells, split among their children
-            on = split[row]
+            on = ~alone
             row, piece, grid, idx = (np.cumsum(split) - 1)[row[on]], piece[on], grid[on], [i[on] for i in idx]
             w = side / (1 << (d + 1))
+            piece_side = sides[piece]
             vol = np.ones((len(piece), 1))
             full = np.ones((len(piece), 1), dtype=bool)
             for j in range(n):
-                low, piece_side = lows[piece, j], sides[piece]
-                widths = np.stack([_overlap_widths(low, piece_side, origins[grid, j] + w * (2 * idx[j] + b), w)
-                                   for b in (0, 1)], axis=1)
+                # a column's 1-D gather is much cheaper than the 2-D lows[piece, j]
+                low, origin, twice = lows[:, j][piece], origins[:, j][grid], 2 * idx[j]
+                widths = np.stack([_overlap_widths(low, piece_side, origin + w * (twice + b), w) for b in (0, 1)],
+                                  axis=1)
                 vol = (vol[:, :, None] * widths[:, None, :]).reshape(len(piece), 2 << j)
                 full = (full[:, :, None] & (widths == w)[:, None, :]).reshape(len(piece), 2 << j)
             hit = np.flatnonzero(vol)
             pair, kid = hit >> n, hit & (kids - 1)
             row, piece, grid = (row[pair] << n) | kid, piece[pair], grid[pair]
-            idx = [2 * i[pair] + bits[kid, j] for j, i in enumerate(idx)]
+            idx = [2 * i[pair] + bits[:, j][kid] for j, i in enumerate(idx)]
             vol, full = vol.ravel()[hit], full.ravel()[hit]
             size = len(self.refined[-1]) << n
+        # every row of the last level is a leaf
+        if math.isinf(params.q):
+            masses.append(np.zeros(size))
+            np.maximum.at(masses[-1], row, weight[piece])
+        else:
+            # an empty bincount is an integer array
+            masses.append(np.bincount(row, weights=weight[piece] * vol, minlength=size).astype(float))
         return masses
 
     def best(self) -> np.ndarray:
@@ -329,11 +340,12 @@ def rm_norm_dyadic(
     grid and every horizon at once.  A pass holds at most _PASS_CELLS
     top-level cells, or one grid when its top level alone has more.  The
     top level is the depth for a radial power; for a step function it is
-    min(depth, _TOP_BITS // dim), and below it only the cells a piece face
-    cuts are refined, starting from the (cell, piece) pairs that the top
-    masses are summed from, scattered once per pass.  Keep-whole arrays
-    are built for the last horizon only, the one the certificate is read
-    from.  Raises ValueError if the best score overflows a double.
+    min(depth, _TOP_BITS // dim) = min(depth, 10 // dim), and below it
+    only the cells a piece face cuts are refined, starting from the
+    (cell, piece) pairs of the top cells, scattered once per pass.
+    Keep-whole arrays are built for the last horizon only, the one the
+    certificate is read from.  Raises ValueError if the best score
+    overflows a double.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")

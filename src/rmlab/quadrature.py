@@ -9,8 +9,9 @@ integrates each graded box: |x|**t is analytic there in a fixed Bernstein
 ellipse (Trefethen, SIAM Rev. 50, 2008) and varies by at most
 (1 + kappa)**|t|.  kappa = 1 / max(1, |t|/2) holds that factor near e**2
 up to |t| = 2048, where kappa meets its floor 2**-10, which bounds the box
-count.  There is no tolerance and no budget.  A box whose clipped lower
-corner is the origin is its ring of 2**n - 1 regular boxes outside
+count; past it the bound fails, so |t| > 2048 is refused in n >= 2.
+There is no tolerance and no budget.  A box whose clipped lower corner
+is the origin is its ring of 2**n - 1 regular boxes outside
 (0, hi/2]: scaling by 1/2 multiplies the integral by 2**-(t+n), so the
 corner integral is the ring's divided by 1 - 2**-(t+n).  It is finite iff
 t + n > 0.
@@ -119,8 +120,10 @@ def power_integrals(t: float, lower: np.ndarray, upper: np.ndarray) -> np.ndarra
     2**-10) shrinks with |t| so that the integrand varies by at most about
     e**2 over a graded box.
     Raises ValueError for a coordinate that is not finite, a clipped
-    coordinate that is subnormal (bisection cannot resolve it), and when
-    the integral diverges at the origin (t + n <= 0 on a corner box).
+    coordinate that is subnormal (bisection cannot resolve it), for
+    |t| > 2048 in n >= 2 (kappa would sit at its floor, and the variation
+    bound no longer holds), and when the integral diverges at the origin
+    (t + n <= 0 on a corner box).
     """
     hi = np.asarray(upper, dtype=float)
     lo = np.maximum(np.asarray(lower, dtype=float), 0.0)
@@ -141,6 +144,8 @@ def power_integrals(t: float, lower: np.ndarray, upper: np.ndarray) -> np.ndarra
         out[live] = np.log(b / a) if t == -1.0 else (b ** (t + 1.0) - a ** (t + 1.0)) / (t + 1.0)
         return out
 
+    if abs(t) > 2.0 / _KAPPA_FLOOR:  # kappa = 1 / max(1, |t|/2) is at its floor from here on
+        raise ValueError(f"|t| = {abs(t)} exceeds {2.0 / _KAPPA_FLOOR:g}, where the graded rule's error bound ends")
     corner = live & np.all(lo == 0.0, axis=1)
     if np.any(corner) and t + n <= 0.0:
         raise ValueError(f"integral of |x|**{t} diverges at the origin corner in dim {n}")

@@ -203,6 +203,18 @@ class TestNormCommand:
         assert code == 0
         assert json.loads(out)["value"] > 0.0
 
+    def test_radial_exponent_past_the_kappa_floor_exits_2(self, tmp_path, capsys):
+        # q * exponent = -3000 in 2-D, past the |t| <= 2048 that power_integrals accepts
+        fn = tmp_path / "radial.json"
+        fn.write_text(json.dumps({"kind": "radial-power", "dim": 2, "exponent": -3000.0,
+                                  "inner_cube": {"lower": [1.0, 1.0], "side": 1.0}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "-0.1", "--depth", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "2048" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("doc", [
         {"dim": 2.7, "pieces": [{"lower": [0.0, 0.0], "side": 1.0, "height": 1.0}]},
         {"kind": "radial-power", "dim": 2.7, "exponent": -0.9, "inner_cube": {"lower": [0.0, 0.0], "side": 1.0}},

@@ -13,6 +13,7 @@ from rmlab.funcrep import (
     RadialPower,
     StepFunction,
     _overlap_widths,
+    _step_cell_pairs,
     evaluate,
     lebesgue_norm,
     lq_norm_on_cube,
@@ -22,6 +23,7 @@ from rmlab.funcrep import (
 )
 from rmlab.geometry import Cube, DimensionMismatchError, Domain
 from rmlab.constructions import sparse_function
+from rmlab.verification import random_step_function
 
 
 def two_step():
@@ -291,3 +293,34 @@ class TestStepFunctionChecks:
     def test_mixed_dimensions_are_reported_before_heights(self):
         with pytest.raises(DimensionMismatchError, match="mixes support dimensions"):
             StepFunction(((Cube((0.0,), 1.0), -1.0), (Cube((0.0, 0.0), 1.0), 1.0)))
+
+
+class TestStepCellPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from((1, 2, 3)))
+    def test_cover_is_a_full_overlap_width_on_every_axis(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        # random pieces plus one of side 3 that covers whole cells of width <= 1
+        f = StepFunction(random_step_function(rng, dim).pieces + ((Cube((-1.5,) * dim, 3.0), 1.0),))
+        cells = 1 << int(rng.integers(3, 7 - dim))
+        width = 8.0 / cells
+        offsets = rng.choice((0.0, 0.25, 1.0 / 3.0, 0.5), size=(int(rng.integers(1, 5)), dim))
+        origins = -4.0 + 8.0 * offsets
+        piece, flat, vol, cover = _step_cell_pairs(f, origins, width, cells)
+        lows, sides, _ = f._arrays
+        grid, index = np.divmod(flat, cells ** dim)
+        idx = np.unravel_index(index, (cells,) * dim)
+        want = np.ones(len(piece), dtype=bool)
+        for j in range(dim):
+            want &= _overlap_widths(lows[piece, j], sides[piece], origins[grid, j] + width * idx[j], width) == width
+        assert want.any()
+        assert np.array_equal(cover, want)
+
+    def test_arrays_of_the_pieces(self):
+        f = sparse_function(100)
+        lows, sides, heights = f._arrays
+        assert np.array_equal(lows, np.array([c.lower for c, _ in f.pieces]))
+        assert np.array_equal(sides, np.array([c.side for c, _ in f.pieces]))
+        assert np.array_equal(heights, np.array([h for _, h in f.pieces]))
+        lows, sides, heights = StepFunction(())._arrays
+        assert lows.shape == (0, 0) and sides.shape == heights.shape == (0,)

@@ -27,7 +27,7 @@ def digest(family):
 
 def tree_line():
     """The 1-D depth-12 tree at DP depth 18 over the 3 default grids: a dense
-    top of 2**12 cells per grid and a refined tail below it."""
+    top of 2**10 cells per grid and a refined tail below it."""
     tree = build_tree(1, 12, ParamSpace(2.0, 1.0, -0.25))
     return rm_norm_dyadic(tree_function(tree), tree.domain, 18, ParamSpace(2.5, 1.5, -0.1))
 

@@ -472,33 +472,38 @@ class TestBatchedGrids:
         est = rm_norm_dyadic(f, root, depth, params, offsets=offsets)
         assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, offsets))
 
+    # six offsets per axis make 216 grids in 3-D, past the 128 of a pass
+    # whose top level (level 3, since 2**10 >= 8**3) has 8**3 cells
+    SIX = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625)
+
     def test_uneven_passes_in_three_dims(self):
         rng = np.random.default_rng(5)
         f = random_step_function(rng, 3)
         params = random_intermediate_params(rng)
         root = Cube((-4.0,) * 3, 8.0)
-        est, sizes = with_pass_sizes(f, root, 4, params, None)
-        assert sizes == [16, 11]
-        assert outcome(est) == outcome(grid_by_grid(f, root, 4, params, None))
+        est, sizes = with_pass_sizes(f, root, 4, params, self.SIX)
+        assert sizes == [128, 88]
+        assert outcome(est) == outcome(grid_by_grid(f, root, 4, params, self.SIX))
 
-    # at depth 5 the top is level 4, and the passes are sized by the top level
-    @pytest.mark.parametrize("depth, sizes", [(4, [16, 11]), (5, [16, 11])])
+    # at depths 4 and 5 the top is level 3, and the passes are sized by the top level
+    @pytest.mark.parametrize("depth, sizes", [(4, [128, 88]), (5, [128, 88])])
     def test_tie_across_a_pass_boundary_goes_to_the_first_grid(self, depth, sizes):
-        # f = 1 on [0.25, 1.5]**3 fills the eight grids whose offsets are all
-        # 0.25 or 0.5, and keeping their root cube scores 1 in each, so they
-        # tie exactly; grid 13, the first of them, wins over grid 14 and the
-        # grids of the later passes
+        # f = 1 on [0.25, 1.5]**3 fills the 27 grids whose offsets are all
+        # 0.25, 0.3 or 0.5, and keeping their root cube scores 1 in each, so
+        # they tie exactly; grid 86, the first of them, wins over grid 87 and
+        # over the tied grids of the second pass, the first of which is grid 128
+        offsets = (0.0, 0.1, 0.25, 0.3, 0.5, 0.75)
         f = StepFunction(((Cube((0.25,) * 3, 1.25), 1.0),))
         root = Cube((0.0,) * 3, 1.0)
         params = ParamSpace(2.0, 1.0, -0.25)
-        est, got = with_pass_sizes(f, root, depth, params, (0.0, 0.25, 0.5))
+        est, got = with_pass_sizes(f, root, depth, params, offsets)
         assert got == sizes
         assert est.value == 1.0
         assert est.certificate == CubeFamily((Cube((0.25,) * 3, 1.0),))
-        assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, (0.0, 0.25, 0.5)))
+        assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, offsets))
 
     def test_deep_line_runs_its_default_grids_in_one_pass(self):
-        # the top is level 12 of 18, so the 3 grids hold 3 * 2**12 dense cells
+        # the top is level 10 of 18, so the 3 grids hold 3 * 2**10 dense cells
         rng = np.random.default_rng(7)
         f = random_step_function(rng, 1)
         params = random_intermediate_params(rng)
@@ -516,10 +521,10 @@ class TestBatchedGrids:
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             counting(mp, "_step_cell_pairs", lambda f, origins, width, cells: calls.append(len(origins)))
-            est = rm_norm_dyadic(f, root, depth, params, offsets=(0.0, 0.25, 0.5))
+            est = rm_norm_dyadic(f, root, depth, params, offsets=self.SIX)
         assert len(calls) == passes
-        assert sum(calls) == 3 ** dim
-        assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, (0.0, 0.25, 0.5)))
+        assert sum(calls) == 6 ** dim
+        assert outcome(est) == outcome(grid_by_grid(f, root, depth, params, self.SIX))
 
 
 def tail_piece(rng, kind, dim, pieces):
@@ -538,6 +543,14 @@ def tail_piece(rng, kind, dim, pieces):
         return Cube(tuple(x + 0.25 * c.side for x in c.lower), c.side)
     side = float(rng.uniform(0.05, 4.0))
     return Cube(tuple(rng.uniform(-4.5, 4.5 - side, dim).tolist()), side)
+
+
+def tail_function(rng, kinds, dim):
+    """A step function of one tail_piece per kind, with heights in {0, 0.5, 1, 3}."""
+    pieces = []
+    for kind in kinds:
+        pieces.append((tail_piece(rng, kind, dim, pieces), float(rng.choice((0.0, 0.5, 1.0, 3.0)))))
+    return StepFunction(tuple(pieces))
 
 
 def with_top(bits, f, root, depth, params, offsets):
@@ -566,10 +579,7 @@ class TestRefinedTail:
     )
     def test_matches_recursive_oracle(self, seed, dim, kinds, p, q, alpha, offsets, data):
         rng = np.random.default_rng(seed)
-        pieces = []
-        for kind in kinds:
-            pieces.append((tail_piece(rng, kind, dim, pieces), float(rng.choice((0.0, 0.5, 1.0, 3.0)))))
-        f = StepFunction(tuple(pieces))
+        f = tail_function(rng, kinds, dim)
         depth = data.draw(st.integers(1, self.DEPTHS[dim]), label="depth")
         top = data.draw(st.integers(0, min(2, depth - 1)), label="top")
         root = Cube((-4.0,) * dim, 8.0)
@@ -578,6 +588,34 @@ class TestRefinedTail:
         want = oracle_trace(f, root, depth, params, offsets)
         assert [v for _, v in est.trace] == pytest.approx(want, rel=1e-12)
         assert rm_score(f, est.certificate, params) ** (1.0 / p) == pytest.approx(est.value, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        dim=st.sampled_from((1, 2, 3)),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        q=st.sampled_from((1.0, 2.0, math.inf)),
+        alpha=st.sampled_from((-0.3, -0.1, 0.0, 0.1, 0.25)),
+        offsets=st.lists(st.sampled_from((0.0, 0.25, 0.5)), min_size=1, max_size=2, unique=True),
+        data=st.data(),
+    )
+    def test_outcome_does_not_depend_on_the_top(self, seed, dim, kinds, q, alpha, offsets, data):
+        # above the top a pure cell's mass is summed from its children and its
+        # subtree swept; at and below it both take the closed form, which for
+        # alpha < 0 is the same double
+        rng = np.random.default_rng(seed)
+        f = tail_function(rng, kinds, dim)
+        depth = data.draw(st.integers(1, {1: 14, 2: 7, 3: 5}[dim]), label="depth")
+        root = Cube((-4.0,) * dim, 8.0)
+        params = ParamSpace(2.0, q, alpha)
+        est = rm_norm_dyadic(f, root, depth, params, offsets=offsets)
+        for bits in (0, 6, 8, 12, norms._TOP_BITS):
+            other = with_top(bits, f, root, depth, params, offsets)
+            if alpha < 0.0:
+                assert outcome(other) == outcome(est)
+            else:
+                assert other.value == pytest.approx(est.value, rel=1e-13)
+                assert [v for _, v in other.trace] == pytest.approx([v for _, v in est.trace], rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.25])
     def test_pure_cells_in_closed_form(self, alpha):

@@ -116,9 +116,17 @@ class TestPowerIntegral:
             power_integral_on_box(-1.5, (5e-324, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError, match="finite"):
             power_integral_on_box(-1.5, (0.5, 0.5), (math.inf, 1.0))
-        # kappa is floored, so a huge |t| grades into a bounded number of boxes; the
-        # integrand near (0.7, 0.7) is 0.99**-1e9, so the integral overflows
-        assert power_integral_on_box(-1e9, (0.7, 0.7), 0.01) == math.inf
+        # kappa meets its floor at |t| = 2048, which grades into a bounded number of
+        # boxes; the integrand near (0.3, 0.3) is 0.42**-2048, so the integral overflows
+        assert power_integral_on_box(-2048.0, (0.3, 0.3), 0.01) == math.inf
+
+    @pytest.mark.parametrize("t", [-2048.5, 2049.0, -20000.0, -1e9])
+    def test_exponent_past_the_kappa_floor_raises(self, t):
+        # past |t| = 2048 kappa stays at its floor and the e**2 variation bound
+        # fails (30% off at t = -200000); one dimension keeps its closed form
+        with pytest.raises(ValueError, match="2048"):
+            power_integral_on_box(t, (0.7, 0.7), 0.01)
+        assert power_integral_on_box(t, (1.0,), 1e-9) > 0.0
 
 
 class TestBatchedCells:
