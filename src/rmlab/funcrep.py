@@ -293,11 +293,11 @@ def _step_cell_pairs(
     (G,) + (cells,) * n in C order, and the pairs of one cell come in
     piece order.  `cover` is True where the piece covers the cell: its
     overlap width is the cell width on every axis.  The pairs are
-    scattered per axis and per distinct origin on that axis: the (piece,
-    cell, overlap width) triples of the cells a piece meets, joined per
-    piece over the axes into the product of the axes' distinct origins,
-    from which each grid takes its row.  The work grows with the cells
-    covered, not pieces x cells.
+    scattered once per axis, for all of that axis's distinct origins
+    together: the (piece, cell, overlap width) triples of the cells a
+    piece meets, joined per piece over the axes into the product of the
+    axes' distinct origins, from which each grid takes its row.  The work
+    grows with the cells covered, not pieces x cells.
     """
     grids, n = origins.shape
     if not f.pieces:
@@ -313,10 +313,7 @@ def _step_cell_pairs(
              np.ones(len(sides), dtype=bool))
     for j, at in enumerate(axes):
         stride, per_origin = cells ** (n - 1 - j), cells ** n * math.prod(counts[j + 1:])
-        parts = [_scatter_axis(pairs, lows[:, j], sides, o, width, cells, stride, k * per_origin)
-                 for k, o in enumerate(at)]
-        # the origins' parts hold disjoint cells, so each cell's terms stay in piece order
-        pairs = parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
+        pairs = _scatter_axis(pairs, lows[:, j], sides, np.array(at), width, cells, stride, per_origin)
     piece, flat, vol, cover = pairs
     rows = [0] * grids  # each grid's C index into tuple(counts)
     for at, column in zip(axes, columns):
@@ -330,43 +327,58 @@ def _step_cell_pairs(
     return piece, flat, vol, cover
 
 
+# unfiltered pairs one group of _scatter_axis holds; an origin whose pairs
+# alone are more makes a group of its own
+_SCATTER_PAIRS = 1 << 14
+
+
 def _scatter_axis(
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     low: np.ndarray,
     sides: np.ndarray,
-    origin: float,
+    at: np.ndarray,
     width: float,
     cells: int,
     stride: int,
-    offset: int,
+    per_origin: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Repeat each (piece, flat index, volume, cover) pair for every cell of
-    one grid axis that its piece meets, the pieces starting at `low` on
-    this axis and cell i at origin + width * i.  The flat index gains
-    i * stride + offset, the volume the overlap width, and the cover flag
-    whether that width is the cell width; pairs of zero volume are dropped.
-    The unfiltered arrays are freed on return, before the caller allocates
-    again.
+    one grid axis that its piece meets, once per origin of `at`, the pieces
+    starting at `low` on this axis and cell i of origin k at at[k] + width * i.
+    The flat index gains i * stride + k * per_origin, the volume the overlap
+    width, and the cover flag whether that width is the cell width; pairs
+    of zero volume are dropped.  The output is origin-major, each origin's
+    pairs in input order and each pair's cells in ascending order, so each
+    cell's terms stay in piece order.  Consecutive origins are repeated in
+    groups of at most _SCATTER_PAIRS unfiltered pairs (or one origin), and
+    a group's unfiltered arrays are freed before the next is made.
     """
     piece, flat, vol, cover = pairs
+    m = len(piece)
     # every cell within one index of the float estimate of the piece's
-    # first and last cell; the exact widths below drop the misses
-    lo = np.clip((low - origin) / width, -1.0, cells)
-    hi = np.clip((low + sides - origin) / width, -1.0, cells)
-    first = np.clip(np.floor(lo).astype(np.int64) - 1, 0, cells - 1)
-    last = np.clip(np.floor(hi).astype(np.int64) + 1, 0, cells - 1)
-    reps = (last - first + 1)[piece]
-    run = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-    piece = np.repeat(piece, reps)
-    cell = first[piece] + run
-    w = _overlap_widths(low[piece], sides[piece], origin + width * cell, width)
-    vol = np.repeat(vol, reps) * w
-    cover = np.repeat(cover, reps) & (w == width)
-    cell *= stride
-    cell += offset
-    flat = np.repeat(flat, reps) + cell
-    hit = vol > 0.0
-    return piece[hit], flat[hit], vol[hit], cover[hit]
+    # first and last cell, per origin; the exact widths below drop the misses
+    lo = np.floor(np.minimum(np.maximum((low - at[:, None]) / width, -1.0), cells)).astype(np.int64)
+    hi = np.floor(np.minimum(np.maximum((low + sides - at[:, None]) / width, -1.0), cells)).astype(np.int64)
+    first = np.maximum(lo - 1, 0)[:, piece]  # (origins, pairs)
+    reps = np.minimum(hi + 1, cells - 1)[:, piece] - first + 1
+    del lo, hi
+    step = max(1, _SCATTER_PAIRS // max(1, int(reps.sum(axis=1).max())))
+    parts = []
+    for a in range(0, len(at), step):
+        r = reps[a:a + step].ravel()
+        k, pair = np.divmod(np.arange(a * m, a * m + len(r)).repeat(r), m)
+        cell = np.arange(len(pair)) + (first[a:a + step].ravel() - (np.cumsum(r) - r)).repeat(r)
+        p = piece[pair]
+        w = _overlap_widths(low[p], sides[p], at[k] + width * cell, width)
+        v = vol[pair] * w
+        hit = v > 0.0
+        cell *= stride
+        k *= per_origin
+        cell += k
+        cell += flat[pair]
+        parts.append((p[hit], cell[hit], v[hit], (cover[pair] & (w == width))[hit]))
+        del k, pair, cell, p, w, v, hit
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _radial_cell_values(f: RadialPower, lows: np.ndarray, side: float, q: float) -> np.ndarray:

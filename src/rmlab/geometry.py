@@ -85,6 +85,25 @@ class Cube:
         return Cube(tuple(c + s for c, s in zip(self.lower, shift)), self.side)
 
 
+def _checked_cubes(lows: np.ndarray, sides: np.ndarray) -> tuple[Cube, ...]:
+    """The cubes of the rows of `lows` (m, n), n >= 1, and `sides` (m,).
+
+    Cube's checks, finite coordinates and a positive side, are made once
+    on the arrays, with Cube's errors; the cubes are then made without
+    checking each again.
+    """
+    if not (np.isfinite(lows).all() and np.isfinite(sides).all()):
+        raise ValueError("cube coordinates must be finite")
+    if (sides <= 0.0).any():
+        raise ValueError(f"cube side must be positive, got {sides[sides <= 0.0][0]}")
+    cubes = []
+    for lower, side in zip(map(tuple, lows.tolist()), sides.tolist()):
+        cube = object.__new__(Cube)
+        cube.__dict__.update(lower=lower, side=side)
+        cubes.append(cube)
+    return tuple(cubes)
+
+
 def _require_same_dim(a: Cube, b: Cube) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"cube dims differ: {a.dim} vs {b.dim}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from itertools import product as iter_product
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,8 @@ from .funcrep import (
     grid_cell_values,
     lq_norm_on_cube,
 )
-from .geometry import Cube, CubeFamily, Domain, _overlap_widths, dyadic_children, interiors_pairwise_disjoint
+from .geometry import (Cube, CubeFamily, Domain, _checked_cubes, _overlap_widths, dyadic_children,
+                       interiors_pairwise_disjoint)
 
 __all__ = [
     "rm_score",
@@ -291,28 +291,38 @@ class _Levels:
 
         Cells of zero score are left out.  The order is depth-first with
         children in dyadic_children order, which for n = 1 is left to right.
+        A kept cell is collected as its side and its multi-index packed in
+        one int, axis j's index in the `depth` bits from depth * (n - 1 - j)
+        up, so that a child's key is its parent's shifted left by one plus
+        its axis bits; the cubes are made once at the end, by _checked_cubes.
         """
         n, depth, side = self.n, self.depth, self.side
         keep, score, pure, refined = self.keep, self.score, self.pure, self.refined
-        # (code, bits) of each child, popped in dyadic_children order, which is code order
-        children = list(enumerate(iter_product((0, 1), repeat=n)))[::-1]
-        cells = []
-        # (level, multi-index, row of the level), the row None below a split pure cell
-        stack: list[tuple[int, tuple[int, ...], int | None]] = [(0, (0,) * n, grid)]
+        # the key bits of each child code, in C order of its axis bits
+        spread = [0]
+        for _ in range(n):
+            spread = [(bits << depth) | b for bits in spread for b in (0, 1)]
+        children = list(enumerate(spread))[::-1]  # popped in dyadic_children order, which is code order
+        widths = [side / (1 << d) for d in range(depth + 1)]
+        keys, sides = [], []  # of the cells kept
+        # (level, key, row of the level), the row None below a split pure cell
+        stack: list[tuple[int, int, int | None]] = [(0, 0, grid)]
         while stack:
-            d, i, row = stack.pop()
+            d, key, row = stack.pop()
             if d == depth if row is None else keep[d][row]:
                 if row is None or score[d][row] > 0.0:
-                    w = side / (1 << d)
-                    cells.append(Cube(tuple(o + w * k for o, k in zip(origin, i)), w))
+                    keys.append(key)
+                    sides.append(widths[d])
                 continue
-            twice = [2 * k for k in i]
+            key <<= 1
             if row is None or pure[d][row]:
-                stack.extend((d + 1, tuple(map(add, twice, bits)), None) for _, bits in children)
+                stack.extend([(d + 1, key | bits, None) for _, bits in children])
             else:
-                rank = row if isinstance(refined[d], slice) else int(np.searchsorted(refined[d], row))
-                stack.extend((d + 1, tuple(map(add, twice, bits)), (rank << n) + c) for c, bits in children)
-        return CubeFamily(tuple(cells))
+                rank = row if isinstance(refined[d], slice) else int(refined[d].searchsorted(row))
+                stack.extend([(d + 1, key | bits, (rank << n) | c) for c, bits in children])
+        w = np.array(sides)
+        index = (np.array(keys, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1) * depth) & ((1 << depth) - 1)
+        return CubeFamily(_checked_cubes(np.array(origin) + w[:, None] * index, w))
 
 
 def rm_norm_dyadic(
@@ -345,7 +355,8 @@ def rm_norm_dyadic(
     (cell, piece) pairs of the top cells, scattered once per pass.
     Keep-whole arrays are built for the last horizon only, the one the
     certificate is read from.  Raises ValueError if the best score
-    overflows a double.
+    overflows a double, or if the cells of the last level have volume 0
+    in doubles, where their scores cannot be formed.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")
@@ -354,6 +365,8 @@ def rm_norm_dyadic(
     n = root.dim
     if 1 << (n * depth) > MAX_DP_CELLS:
         raise ValueError(f"depth {depth} in dimension {n} exceeds the budget of {MAX_DP_CELLS} cells")
+    if (root.side / (1 << depth)) ** n == 0.0:
+        raise ValueError(f"the cells at depth {depth} of a root of side {root.side} have volume 0 in doubles")
     offset_list = tuple(dict.fromkeys(DEFAULT_OFFSETS if offsets is None else offsets))
     if not offset_list:
         raise ValueError("offsets must not be empty")

@@ -123,7 +123,8 @@ def power_integrals(t: float, lower: np.ndarray, upper: np.ndarray) -> np.ndarra
     coordinate that is subnormal (bisection cannot resolve it), for
     |t| > 2048 in n >= 2 (kappa would sit at its floor, and the variation
     bound no longer holds), and when the integral diverges at the origin
-    (t + n <= 0 on a corner box).
+    (t + n <= 0 on a corner box).  In one dimension an integral whose
+    closed form overflows at both ends is inf.
     """
     hi = np.asarray(upper, dtype=float)
     lo = np.maximum(np.asarray(lower, dtype=float), 0.0)
@@ -141,7 +142,9 @@ def power_integrals(t: float, lower: np.ndarray, upper: np.ndarray) -> np.ndarra
         a, b = lo[live, 0], hi[live, 0]
         if t <= -1.0 and np.any(a == 0.0):
             raise ValueError(f"integral of x**{t} diverges at 0")
-        out[live] = np.log(b / a) if t == -1.0 else (b ** (t + 1.0) - a ** (t + 1.0)) / (t + 1.0)
+        with np.errstate(invalid="ignore"):  # inf - inf where both endpoint powers overflow
+            value = np.log(b / a) if t == -1.0 else (b ** (t + 1.0) - a ** (t + 1.0)) / (t + 1.0)
+        out[live] = np.where(np.isnan(value), np.inf, value)
         return out
 
     if abs(t) > 2.0 / _KAPPA_FLOOR:  # kappa = 1 / max(1, |t|/2) is at its floor from here on

@@ -1,12 +1,15 @@
 import json
 import math
 import struct
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmlab import funcrep
+from rmlab.constructions import build_tree, tree_function
 from rmlab.estimate import EXACT
 from rmlab.funcrep import (
     ParamSpace,
@@ -28,6 +31,46 @@ from rmlab.verification import random_step_function
 
 def two_step():
     return StepFunction(((Cube((0.0,), 0.5), 2.0), (Cube((0.5,), 0.5), 1.0)))
+
+
+def scatter_one_origin(pairs, low, sides, origin, width, cells, stride, offset):
+    """_scatter_axis for one origin at a time, with np.clip: the test reference."""
+    piece, flat, vol, cover = pairs
+    lo = np.clip((low - origin) / width, -1.0, cells)
+    hi = np.clip((low + sides - origin) / width, -1.0, cells)
+    first = np.clip(np.floor(lo).astype(np.int64) - 1, 0, cells - 1)
+    last = np.clip(np.floor(hi).astype(np.int64) + 1, 0, cells - 1)
+    reps = (last - first + 1)[piece]
+    run = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+    piece = np.repeat(piece, reps)
+    cell = first[piece] + run
+    w = _overlap_widths(low[piece], sides[piece], origin + width * cell, width)
+    vol = np.repeat(vol, reps) * w
+    cover = np.repeat(cover, reps) & (w == width)
+    flat = np.repeat(flat, reps) + cell * stride + offset
+    hit = vol > 0.0
+    return piece[hit], flat[hit], vol[hit], cover[hit]
+
+
+def scatter_per_origin(pairs, low, sides, at, width, cells, stride, per_origin):
+    """The origins of one axis scattered one by one and joined origin-major."""
+    parts = [scatter_one_origin(pairs, low, sides, o, width, cells, stride, k * per_origin)
+             for k, o in enumerate(at.tolist())]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def pairs_per_origin(f, origins, width, cells):
+    """_step_cell_pairs with every origin of an axis scattered on its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcrep, "_scatter_axis", scatter_per_origin)
+        return _step_cell_pairs(f, origins, width, cells)
+
+
+def assert_same_pairs(got, want):
+    """Same (piece, flat, volume, cover) arrays, in the same order, to the bit."""
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 class TestParamSpace:
@@ -315,6 +358,54 @@ class TestStepCellPairs:
             want &= _overlap_widths(lows[piece, j], sides[piece], origins[grid, j] + width * idx[j], width) == width
         assert want.any()
         assert np.array_equal(cover, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        dim=st.sampled_from((1, 2, 3)),
+        offsets=st.lists(st.sampled_from((0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9)), min_size=1, max_size=3,
+                         unique=True),
+        group=st.sampled_from((1, 8, 64, 1 << 14)),
+        data=st.data(),
+    )
+    def test_origins_scattered_together_match_one_at_a_time(self, seed, dim, offsets, group, data):
+        # a small group bound splits an axis's origins into several groups
+        rng = np.random.default_rng(seed)
+        f = random_step_function(rng, dim)
+        cells = 1 << data.draw(st.integers(0, 10 // dim), label="bits")
+        origins = -4.0 + 8.0 * np.array(list(product(offsets, repeat=dim)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(funcrep, "_SCATTER_PAIRS", group)
+            got = _step_cell_pairs(f, origins, 8.0 / cells, cells)
+        assert_same_pairs(got, pairs_per_origin(f, origins, 8.0 / cells, cells))
+
+    def test_groups_of_the_default_bound(self):
+        # each origin of the depth-12 tree makes over 2**14 unfiltered pairs
+        # at 2**10 cells, so each is a group of its own; the depth-10 tree's
+        # origins share groups
+        for depth, groups in ((12, 3), (10, 2)):
+            tree = build_tree(1, depth, ParamSpace(2.0, 1.0, -0.25))
+            f, root = tree_function(tree), tree.domain
+            origins = root.lower[0] + root.side * np.array([[0.0], [1.0 / 3.0], [2.0 / 3.0]])
+            width = root.side / 1024
+            sizes = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(funcrep, "_overlap_widths", lambda *a: sizes.append(len(a[0])) or _overlap_widths(*a))
+                got = _step_cell_pairs(f, origins, width, 1024)
+            assert len(sizes) == groups
+            assert_same_pairs(got, pairs_per_origin(f, origins, width, 1024))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_offsets_that_round_to_one_origin(self, dim):
+        # on a root of side 1e-20 at 0.3 every offset rounds to the origin
+        # 0.3, so the grids share one row of the product of distinct origins
+        root = Cube((0.3,) * dim, 1e-20)
+        f = StepFunction(((root, 1.0), (Cube((0.3 + 2.5e-21,) * dim, 5e-21), 2.0)))
+        origins = 0.3 + 1e-20 * np.array(list(product((0.0, 1.0 / 3.0, 2.0 / 3.0), repeat=dim)))
+        assert len(np.unique(origins)) == 1
+        got = _step_cell_pairs(f, origins, 1e-20 / 4, 4)
+        assert np.array_equal(np.unique(got[1] // 4 ** dim), np.arange(3 ** dim))
+        assert_same_pairs(got, pairs_per_origin(f, origins, 1e-20 / 4, 4))
 
     def test_arrays_of_the_pieces(self):
         f = sparse_function(100)

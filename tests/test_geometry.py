@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rmlab.geometry import (
     _FACE_SLACK,
+    _checked_cubes,
     Cube,
     CubeFamily,
     DimensionMismatchError,
@@ -73,6 +74,27 @@ class TestCube:
             Cube((0.0,), math.inf)
         with pytest.raises(ValueError, match="finite"):
             Cube((0.0, math.nan), 1.0)
+
+    def test_checked_cubes_are_cubes(self):
+        lows = np.array([[0.0, -1.5], [2.0 ** -60, 1e300]])
+        sides = np.array([0.5, 2.0 ** -1070])
+        got = _checked_cubes(lows, sides)
+        assert got == (Cube((0.0, -1.5), 0.5), Cube((2.0 ** -60, 1e300), 2.0 ** -1070))
+        assert all(type(x) is float for c in got for x in c.lower + (c.side,))
+        assert _checked_cubes(np.zeros((0, 2)), np.zeros(0)) == ()
+
+    @pytest.mark.parametrize("lows, sides, match", [
+        ([[0.0], [math.inf]], [1.0, 1.0], "finite"),
+        ([[0.0, math.nan]], [1.0], "finite"),
+        ([[0.0]], [math.nan], "finite"),
+        ([[0.0]], [math.inf], "finite"),
+        ([[0.0], [1.0], [2.0]], [1.0, 0.0, -1.0], "cube side must be positive, got 0.0"),
+    ])
+    def test_checked_cubes_raise_as_cube_does(self, lows, sides, match):
+        with pytest.raises(ValueError, match=match):
+            _checked_cubes(np.array(lows), np.array(sides))
+        with pytest.raises(ValueError, match=match):
+            [Cube(tuple(lo), s) for lo, s in zip(lows, sides)]
 
     def test_contains(self):
         c = Cube((0.0, 0.0), 2.0)

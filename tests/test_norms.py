@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from itertools import product
+from operator import add
 
 import numpy as np
 import pytest
@@ -229,6 +230,22 @@ class TestScoreOverflow:
             rm_norm_dyadic(f, UNIT, 3, RIESZ2)
         with pytest.raises(ValueError, match="overflows a double"):
             rm_norm_intervals_1d(f, UNIT, 8, RIESZ2)
+
+    def test_overflowing_one_dim_radial_mass(self):
+        # both endpoint powers of the closed form on [0.7, 0.71] overflow
+        with pytest.raises(ValueError, match="overflows a double"):
+            rm_norm_dyadic(RadialPower(-3000.0, 1), Cube((0.7,), 0.01), 2, ParamSpace(2.0, 1.0, -0.1))
+
+    def test_underflowing_cells_are_refused(self):
+        # (1e-323 / 8) ** 1 is 0.0, which a negative score exponent cannot take
+        tiny = Cube((0.0,), 1e-323)
+        f = StepFunction(((tiny, 1.0),))
+        with pytest.raises(ValueError, match="volume 0"):
+            rm_norm_dyadic(f, tiny, 3, ParamSpace(2.0, 1.0, 0.1))
+        with pytest.raises(ValueError, match="volume 0"):
+            # in 3-D the side 1e-110 / 16 is normal, but its cube is not
+            cube = Cube((0.0,) * 3, 1e-110)
+            rm_norm_dyadic(StepFunction(((cube, 1.0),)), cube, 4, RIESZ2)
 
     def test_unbounded_sup_stays_infinite(self):
         # |x|**-1 is unbounded on the cell at the origin: an infinite score, not an overflow
@@ -639,6 +656,67 @@ class TestRefinedTail:
         assert est.value == pytest.approx(dense.value, rel=1e-11)
         assert [v for _, v in est.trace] == pytest.approx([v for _, v in dense.trace], rel=1e-11)
         assert rm_score(f, est.certificate, params) ** (1.0 / 2.5) == pytest.approx(est.value, rel=1e-12)
+
+
+def family_by_cubes(levels, origin, grid):
+    """_Levels.family with a validated Cube made per cell as it is reached: the test reference."""
+    n, depth, side = levels.n, levels.depth, levels.side
+    keep, score, pure, refined = levels.keep, levels.score, levels.pure, levels.refined
+    children = list(enumerate(product((0, 1), repeat=n)))[::-1]
+    cells = []
+    stack = [(0, (0,) * n, grid)]
+    while stack:
+        d, i, row = stack.pop()
+        if d == depth if row is None else keep[d][row]:
+            if row is None or score[d][row] > 0.0:
+                w = side / (1 << d)
+                cells.append(Cube(tuple(o + w * k for o, k in zip(origin, i)), w))
+            continue
+        twice = [2 * k for k in i]
+        if row is None or pure[d][row]:
+            stack.extend((d + 1, tuple(map(add, twice, bits)), None) for _, bits in children)
+        else:
+            rank = row if isinstance(refined[d], slice) else int(np.searchsorted(refined[d], row))
+            stack.extend((d + 1, tuple(map(add, twice, bits)), (rank << n) + c) for c, bits in children)
+    return CubeFamily(tuple(cells))
+
+
+class TestCertificateReader:
+    """The certificate read with packed keys and cubes made at the end is the per-cell reader's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        dim=st.sampled_from((1, 2, 3)),
+        kinds=st.lists(st.sampled_from(TestRefinedTail.KINDS), min_size=1, max_size=6),
+        q=st.sampled_from((1.0, 2.0, math.inf)),
+        alpha=st.sampled_from((-0.3, -0.1, 0.0, 0.1, 0.25)),
+        offsets=st.one_of(st.none(), st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.7)), min_size=1, max_size=3)),
+        data=st.data(),
+    )
+    def test_same_cubes_in_the_same_order(self, seed, dim, kinds, q, alpha, offsets, data):
+        # a low top refines below it (the searchsorted rows); alpha > 0
+        # splits pure cells down to the horizon
+        rng = np.random.default_rng(seed)
+        f = tail_function(rng, kinds, dim)
+        depth = data.draw(st.integers(0, {1: 12, 2: 5, 3: 3}[dim]), label="depth")
+        bits = data.draw(st.sampled_from((0, dim, norms._TOP_BITS)), label="bits")
+        read = []
+        lean = norms._Levels.family
+
+        def both(levels, origin, grid):
+            family = lean(levels, origin, grid)
+            read.append((family, family_by_cubes(levels, origin, grid)))
+            return family
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(norms._Levels, "family", both)
+            with_top(bits, f, Cube((-4.0,) * dim, 8.0), depth, ParamSpace(2.0, q, alpha), offsets)
+        assert read
+        for got, want in read:
+            # repr tells -0.0 from 0.0
+            assert repr([(c.lower, c.side) for c in got]) == repr([(c.lower, c.side) for c in want])
+            assert got == want
 
 
 class TestBruteForce:

@@ -22,6 +22,12 @@ class TestPowerIntegral:
         assert power_integral_on_box(-1.0, (1.0,), math.e - 1.0) == pytest.approx(1.0, rel=1e-12)
         assert power_integral_on_box(2.0, (0.0,), 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
+    def test_one_dim_overflow_is_infinite(self):
+        # x**-2999 overflows at both ends of [0.7, 0.71]: inf - inf, not nan
+        with np.errstate(over="ignore"):
+            assert power_integral_on_box(-3000.0, (0.7,), 0.01) == math.inf
+            assert power_integral_on_box(3000.0, (1e3,), 1.0) == math.inf
+
     def test_orthant_clipping(self):
         # box extending into negative coordinates only counts the orthant part
         assert power_integral_on_box(0.0, (-1.0,), 2.0) == pytest.approx(1.0, rel=1e-14)
