@@ -9,6 +9,7 @@ sums (bounded, logarithmic, or linear, with a fitted rate).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -71,16 +72,20 @@ def check_power_sum_inequalities(
     """Verify the four power-sum inequalities on a positive sequence.
 
     The entries are taken as Python floats and each sum is exactly rounded
-    (math.fsum).  Raises ValueError when a power or sum overflows a double.
+    (math.fsum); `head_count` is any integer but a bool (operator.index).
+    Raises ValueError when a power or sum overflows a double.
     """
-    a = [float(x) for x in (seq.tolist() if isinstance(seq, np.ndarray) else seq)]
-    if not a or not all(0.0 < x < math.inf for x in a):
+    a = np.asarray(seq, dtype=float).tolist()
+    if not a or not all(map(math.isfinite, a)) or min(a) <= 0.0:
         raise ValueError("sequence entries must be positive and finite")
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if isinstance(head_count, bool):
         raise ValueError("head_count must be an integer, not a bool")
-    n_head = len(a) if head_count is None else head_count
+    try:
+        n_head = len(a) if head_count is None else operator.index(head_count)
+    except TypeError:
+        raise ValueError(f"head_count must be an integer, got {head_count!r}") from None
     if not 1 <= n_head <= len(a):
         raise ValueError("head_count out of range")
 

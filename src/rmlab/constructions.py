@@ -26,7 +26,7 @@ from .funcrep import (
     StepFunction,
     positive_orthant_sphere_measure,
 )
-from .geometry import Cube, CubeFamily
+from .geometry import Cube, CubeFamily, _checked_cubes
 from .series import power_series_sum, power_series_tail
 
 __all__ = [
@@ -236,15 +236,9 @@ def build_tree(dim: int, depth: int, params: ParamSpace) -> TreeConstruction:
     for i in range(1, depth + 1):
         li = spacing.length(i)
         offset = 0.5 * spacing.length(i - 1) + spacing.distance(i - 1) + 0.5 * li
-        new_centers = []
-        cubes = []
-        for c in centers:
-            for s in (-1.0, 1.0):
-                m = c + s * offset
-                new_centers.append(m)
-                cubes.append(Cube((m - 0.5 * li,) * dim, li))
-        centers = new_centers
-        levels.append(CubeFamily(tuple(cubes)))
+        centers = [c + s * offset for c in centers for s in (-1.0, 1.0)]
+        half = 0.5 * li
+        levels.append(CubeFamily(_checked_cubes([(m - half,) * dim for m in centers], [li] * len(centers))))
     domain_side = l0 + 2.0 * spacing.radius(0) + 1.0
     return TreeConstruction(
         dim=dim,

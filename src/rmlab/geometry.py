@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -85,23 +85,28 @@ class Cube:
         return Cube(tuple(c + s for c, s in zip(self.lower, shift)), self.side)
 
 
-def _checked_cubes(lows: np.ndarray, sides: np.ndarray) -> tuple[Cube, ...]:
-    """The cubes of the rows of `lows` (m, n), n >= 1, and `sides` (m,).
+def _checked_cubes(lows: np.ndarray | list[tuple[float, ...]], sides: np.ndarray | list[float]) -> tuple[Cube, ...]:
+    """The cubes of the rows of `lows` (m, n), n >= 1, and `sides` (m,):
+    numpy arrays, or a list of tuples and a list of Python floats.
 
     Cube's checks, finite coordinates and a positive side, are made once
-    on the arrays, with Cube's errors; the cubes are then made without
-    checking each again.
+    for the batch, with Cube's errors; the cubes are then made without
+    checking each again.  Their fields are set as Cube.__post_init__ sets
+    them, so each cube keeps the compact layout of one made by Cube(...).
     """
-    if not (np.isfinite(lows).all() and np.isfinite(sides).all()):
+    if isinstance(lows, np.ndarray):
+        finite = bool(np.isfinite(lows).all() and np.isfinite(sides).all())
+        lows, sides = list(map(tuple, lows.tolist())), sides.tolist()
+    else:
+        finite = all(map(math.isfinite, chain(sides, chain.from_iterable(lows))))
+    if not finite:
         raise ValueError("cube coordinates must be finite")
-    if (sides <= 0.0).any():
-        raise ValueError(f"cube side must be positive, got {sides[sides <= 0.0][0]}")
-    cubes = []
-    for lower, side in zip(map(tuple, lows.tolist()), sides.tolist()):
-        cube = object.__new__(Cube)
-        cube.__dict__.update(lower=lower, side=side)
-        cubes.append(cube)
-    return tuple(cubes)
+    if sides and min(sides) <= 0.0:
+        raise ValueError(f"cube side must be positive, got {next(s for s in sides if s <= 0.0)}")
+    cubes = tuple(map(object.__new__, repeat(Cube, len(sides))))
+    any(map(object.__setattr__, cubes, repeat("lower"), lows))  # each call returns None, so any() runs them all
+    any(map(object.__setattr__, cubes, repeat("side"), sides))
+    return cubes
 
 
 def _require_same_dim(a: Cube, b: Cube) -> None:

@@ -97,6 +97,18 @@ def _refuse_overflow(score: float, f: FunctionLike, q: float) -> None:
         raise ValueError("the score overflows a double")
 
 
+def _refuse_unscorable(side: float, root: Cube, params: ParamSpace, cells: str) -> None:
+    """ValueError unless a DP's smallest cells, of this side, have a volume v > 0, and v**e (e the score
+    exponent) is finite in doubles for them and for the root; v**e is monotone in v, so that bounds every cell's."""
+    try:
+        if side ** root.dim == 0.0:
+            raise ValueError(f"{cells} have volume 0 in doubles")
+        (side ** root.dim) ** params.score_exponent, (root.side ** root.dim) ** params.score_exponent
+    except OverflowError:  # a float power that overflows raises it
+        raise ValueError(f"{cells} or the root have a volume whose power {params.score_exponent!r} "
+                         "overflows a double") from None
+
+
 # ---------------------------------------------------------------------------
 # dyadic dynamic program
 # ---------------------------------------------------------------------------
@@ -356,7 +368,8 @@ def rm_norm_dyadic(
     Keep-whole arrays are built for the last horizon only, the one the
     certificate is read from.  Raises ValueError if the best score
     overflows a double, or if the cells of the last level have volume 0
-    in doubles, where their scores cannot be formed.
+    in doubles, or if their volume or the root's has a power volume**e
+    that overflows, where the scores cannot be formed.
     """
     if math.isinf(params.p):
         raise ValueError("p = inf routes to morrey_norm_estimate")
@@ -365,8 +378,7 @@ def rm_norm_dyadic(
     n = root.dim
     if 1 << (n * depth) > MAX_DP_CELLS:
         raise ValueError(f"depth {depth} in dimension {n} exceeds the budget of {MAX_DP_CELLS} cells")
-    if (root.side / (1 << depth)) ** n == 0.0:
-        raise ValueError(f"the cells at depth {depth} of a root of side {root.side} have volume 0 in doubles")
+    _refuse_unscorable(root.side / (1 << depth), root, params, f"the depth-{depth} cells of a root of side {root.side}")
     offset_list = tuple(dict.fromkeys(DEFAULT_OFFSETS if offsets is None else offsets))
     if not offset_list:
         raise ValueError("offsets must not be empty")
@@ -412,7 +424,9 @@ def rm_norm_intervals_1d(f: FunctionLike, root: Cube, grid_cells: int, params: P
     (Jackson et al., IEEE SPL 2005).  The masses of [i, j) for a fixed j
     accumulate over the finest cells from j leftwards, so no prefix sums
     are differenced.  Zero-mass intervals are left out of the certificate.
-    Raises ValueError if the best score overflows a double.
+    Raises ValueError if the best score overflows a double, or if the
+    narrowest grid cell has volume 0, or it or the root has an
+    overflowing power volume**e.
     """
     if root.dim != 1:
         raise ValueError("the interval DP is one-dimensional")
@@ -424,6 +438,7 @@ def rm_norm_intervals_1d(f: FunctionLike, root: Cube, grid_cells: int, params: P
     lo = root.lower[0]
     w = root.side / m
     edges = lo + w * np.arange(m + 1, dtype=float)
+    _refuse_unscorable(float(np.diff(edges).min()), root, params, f"the {m} grid cells of a root of side {root.side}")
     combine = np.maximum if math.isinf(params.q) else np.add
     best = np.zeros(m + 1)
     start = np.zeros(m + 1, dtype=np.int64)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -29,7 +30,7 @@ from .analysis import (
 )
 from .constructions import build_tree, sparse_function, tree_function
 from .funcrep import ParamSpace, StepFunction, lebesgue_norm, weak_norm
-from .geometry import Cube, CubeFamily, Domain, dyadic_children, interiors_pairwise_disjoint
+from .geometry import Cube, CubeFamily, Domain, _checked_cubes, interiors_pairwise_disjoint
 from .norms import riesz_norm, rm_norm_dyadic, rm_norm_intervals_1d, rm_score
 from .series import harmonic_number
 
@@ -71,19 +72,17 @@ def random_dyadic_step(rng: np.random.Generator, root: Cube, depth: int) -> Step
     """Step function constant on the depth-level dyadic cells of the root: a
     cell is zero with chance 1/4, else its height is uniform in [0.05, 3)."""
     n = root.dim
-    cells_per_axis = 1 << depth
-    w = root.side / cells_per_axis
-    pieces = []
-    for idx in np.ndindex(*(cells_per_axis,) * n):
+    w = root.side / (1 << depth)
+    lows, heights = [], []
+    for idx in product(range(1 << depth), repeat=n):
         if rng.random() < 0.25:
             continue
-        h = float(rng.uniform(0.05, 3.0))
-        lo = tuple(root.lower[j] + idx[j] * w for j in range(n))
-        pieces.append((Cube(lo, w), h))
-    if not pieces:
-        lo = tuple(root.lower)
-        pieces.append((Cube(lo, w), float(rng.uniform(0.05, 3.0))))
-    return StepFunction(tuple(pieces))
+        heights.append(0.05 + (3.0 - 0.05) * rng.random())
+        lows.append(tuple(root.lower[j] + idx[j] * w for j in range(n)))
+    if not lows:
+        lows.append(tuple(root.lower))
+        heights.append(0.05 + (3.0 - 0.05) * rng.random())
+    return StepFunction(tuple(zip(_checked_cubes(lows, [w] * len(lows)), heights)))
 
 
 # side of the cube [-_SPAN/2, _SPAN/2]**n that holds random_step_function's pieces
@@ -92,45 +91,50 @@ _SPAN = 8.0
 
 def random_step_function(rng: np.random.Generator, dim: int) -> StepFunction:
     """One to twelve disjoint random supports on a jittered coarse lattice in
-    [-_SPAN/2, _SPAN/2]**n."""
+    [-_SPAN/2, _SPAN/2]**n.  The uniforms (side, offset per axis, height of
+    each piece) are one rng.random batch, as lo + (hi - lo) * u like numpy."""
     count = int(rng.integers(1, 13))
     base = 16 if dim == 1 else 6
     cells = rng.choice(base ** dim, size=count, replace=False)
-    pieces = []
+    u = iter(rng.random(count * (dim + 2)).tolist())
+    lows, sides, heights = [], [], []
     cell_w = _SPAN / base
     for c in cells.tolist():
         idx = [0] * dim  # the C-order lattice index of cell c
         for j in range(dim - 1, -1, -1):
             c, idx[j] = divmod(c, base)
-        side = cell_w * float(rng.uniform(0.2, 0.95))
-        lo = tuple(
-            -0.5 * _SPAN + idx[j] * cell_w + float(rng.uniform(0.0, cell_w - side))
-            for j in range(dim)
-        )
-        pieces.append((Cube(lo, side), float(rng.uniform(0.05, 4.0))))
-    return StepFunction(tuple(pieces))
+        side = cell_w * (0.2 + (0.95 - 0.2) * next(u))
+        lows.append(tuple(-0.5 * _SPAN + idx[j] * cell_w + (cell_w - side) * next(u) for j in range(dim)))
+        sides.append(side)
+        heights.append(0.05 + (4.0 - 0.05) * next(u))
+    return StepFunction(tuple(zip(_checked_cubes(lows, sides), heights)))
 
 
 def random_dyadic_partition(rng: np.random.Generator, root: Cube, max_depth: int = 4) -> CubeFamily:
     """Random recursive dyadic partition of the root cube: each cube less
-    than max_depth levels down splits with chance 0.55."""
-    cells: list[Cube] = []
-    stack = [(root, 0)]
+    than max_depth levels down splits with chance 0.55, into the cubes of
+    dyadic_children in their order."""
+    bits = list(product((0, 1), repeat=root.dim))
+    lows, sides = [], []
+    stack = [(root.lower, root.side, 0)]
     while stack:
-        cube, d = stack.pop()
+        lower, side, d = stack.pop()
         if d < max_depth and rng.random() < 0.55:
-            stack.extend((kid, d + 1) for kid in dyadic_children(cube))
+            half = 0.5 * side
+            stack.extend((tuple(lo + half * b for lo, b in zip(lower, kid)), half, d + 1) for kid in bits)
         else:
-            cells.append(cube)
-    return CubeFamily(tuple(cells))
+            lows.append(lower)
+            sides.append(side)
+    return CubeFamily(_checked_cubes(lows, sides))
 
 
 def random_intermediate_params(rng: np.random.Generator) -> ParamSpace:
     """Random (p, q, alpha) with p in (1, inf), q in [1, p), alpha in (1/p-1/q, 0)."""
-    p = float(rng.uniform(1.2, 4.0))
-    q = float(1.0 + rng.uniform(0.0, 0.92) * (p - 1.0))
+    u = rng.random(3).tolist()
+    p = 1.2 + (4.0 - 1.2) * u[0]
+    q = 1.0 + 0.92 * u[1] * (p - 1.0)
     split = 1.0 / p - 1.0 / q
-    alpha = float(split * rng.uniform(0.05, 0.95))
+    alpha = split * (0.05 + (0.95 - 0.05) * u[2])
     return ParamSpace(p, q, alpha)
 
 
@@ -288,7 +292,8 @@ def verify_tree_function(depth: int = 12) -> ProbeResult:
     cubes = tree.all_cubes()
     checks["pairwise_disjoint"] = interiors_pairwise_disjoint(cubes)
     dom = tree.domain
-    checks["inside_domain"] = all(dom.contains_cube(c) for c in cubes)
+    lows, sides, _ = f._arrays  # the cubes, in order; the comparisons of Cube.contains_cube
+    checks["inside_domain"] = bool(np.all((dom.lower <= lows) & (lows + sides[:, None] <= np.add(dom.lower, dom.side))))
 
     # (b) each level contributes 2**(-1/2) to the critical integral
     level_err = 0.0
@@ -336,14 +341,14 @@ def verify_embedding(seed: int = 23) -> ProbeResult:
     """Random family scores never exceed the critical Lebesgue norm."""
     count, tol = 1000, 1e-12
     rng = np.random.default_rng(seed)
+    roots = {dim: Cube((-0.5 * _SPAN,) * dim, _SPAN) for dim in (1, 2)}
     violations = 0
     worst_margin = -math.inf
     for i in range(count):
         dim = 1 if i % 3 else 2
         params = random_intermediate_params(rng)
         f = random_step_function(rng, dim)
-        root = Cube((-0.5 * _SPAN,) * dim, _SPAN)
-        fam = random_dyadic_partition(rng, root, max_depth=3 if dim == 1 else 2)
+        fam = random_dyadic_partition(rng, roots[dim], max_depth=3 if dim == 1 else 2)
         score = rm_score(f, fam, params, check=False) ** (1.0 / params.p)
         bound = lebesgue_norm(f, Domain.whole_space(dim), params.theta).value
         margin = score - bound * (1.0 + tol)
@@ -498,7 +503,7 @@ def verify_power_sums(seed: int = 3) -> ProbeResult:
     for _ in range(count):
         size = int(rng.integers(1, 31))
         a = np.exp(rng.uniform(-4.0, 4.0, size))
-        gamma = float(rng.uniform(0.0, 4.0))
+        gamma = 4.0 * rng.random()
         head = int(rng.integers(1, size + 1))
         if not check_power_sum_inequalities(a, gamma, head).all_hold:
             violations += 1

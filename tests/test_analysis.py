@@ -61,6 +61,17 @@ class TestPowerSums:
         with pytest.raises(ValueError):
             check_power_sum_inequalities((1.0, 2.0), 2.0, head)
 
+    @pytest.mark.parametrize("head", [2.0, 2.5, "2", 1j])
+    def test_rejects_non_integer_head_count(self, head):
+        with pytest.raises(ValueError, match="head_count must be an integer"):
+            check_power_sum_inequalities((1.0, 2.0, 3.0), 2.0, head)
+
+    @pytest.mark.parametrize("head", [np.int64(2), np.uint8(2), 2])
+    def test_integer_head_counts_give_python_bools(self, head):
+        rep = check_power_sum_inequalities(np.array([1.0, 2.0, 3.0]), 1.0, head)
+        assert rep == check_power_sum_inequalities((1.0, 2.0, 3.0), 1.0, 2)
+        assert all(type(v) is bool for v in vars(rep).values())
+
     def test_overflow_is_an_input_error(self):
         with pytest.raises(ValueError):
             check_power_sum_inequalities((1e300, 1e300), 2.0)

@@ -226,6 +226,17 @@ class TestNormCommand:
         assert "volume 0" in captured.err
         assert captured.out == ""
 
+    def test_subnormal_cells_exit_2(self, tmp_path, capsys):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1e-320, "height": 1.0}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", "2", "--q", "1", "--alpha", "0.1",
+                  "--root", "0.0", "--side", "1e-320", "--depth", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "overflows a double" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("doc", [
         {"dim": 2.7, "pieces": [{"lower": [0.0, 0.0], "side": 1.0, "height": 1.0}]},
         {"kind": "radial-power", "dim": 2.7, "exponent": -0.9, "inner_cube": {"lower": [0.0, 0.0], "side": 1.0}},

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,7 +95,34 @@ class TestCube:
         with pytest.raises(ValueError, match=match):
             _checked_cubes(np.array(lows), np.array(sides))
         with pytest.raises(ValueError, match=match):
+            _checked_cubes([tuple(map(float, lo)) for lo in lows], list(map(float, sides)))
+        with pytest.raises(ValueError, match=match):
             [Cube(tuple(lo), s) for lo, s in zip(lows, sides)]
+
+    def test_checked_cubes_of_lists(self):
+        lows, sides = [(0.0, -1.5), (2.0 ** -60, 1e300)], [0.5, 2.0 ** -1070]
+        got = _checked_cubes(lows, sides)
+        assert got == _checked_cubes(np.array(lows), np.array(sides))
+        assert got[0].lower is lows[0] and got[1].side is sides[1]
+        assert _checked_cubes([], []) == ()
+
+    def test_checked_cubes_take_no_more_memory_than_cube(self):
+        # fields set by object.__setattr__ keep Cube's inline layout; a filled
+        # __dict__ would give each cube a dict of its own, twice the size
+        lows, sides = [(float(i), -0.5) for i in range(10_000)], [0.25] * 10_000
+
+        def traced(make):
+            tracemalloc.start()
+            try:
+                cubes = make()
+                return tracemalloc.get_traced_memory()[0], cubes
+            finally:
+                tracemalloc.stop()
+
+        made, want = traced(lambda: tuple(Cube(lo, s) for lo, s in zip(lows, sides)))
+        built, got = traced(lambda: _checked_cubes(lows, sides))
+        assert got == want
+        assert built <= 1.1 * made
 
     def test_contains(self):
         c = Cube((0.0, 0.0), 2.0)

@@ -1,18 +1,22 @@
-"""Golden outputs of the dyadic DP, pinned to the last bit.
+"""Golden outputs of the dyadic DP and of `rmlab verify`, pinned to the last bit.
 
 The other DP tests compare against oracles within a relative tolerance,
 so a change that moves a value by a few ulps passes them.  These four
 calls pin the exact value and trace reprs and a digest of the
 certificate: a change of summation order, cell frame or tie rule fails
-here and must move the pins on purpose.
+here and must move the pins on purpose.  The verdict and trace files of
+`rmlab verify` with all nine probes are pinned by their sha256, so a
+change of a probe's random stream or of any printed digit fails too.
 """
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rmlab.cli import main
 from rmlab.constructions import build_tree, tree_function
 from rmlab.funcrep import ParamSpace, RadialPower
 from rmlab.geometry import Cube
@@ -94,3 +98,30 @@ def test_dp_output_is_pinned(call):
     assert repr(est.trace) == repr(tuple((float(d), v) for d, v in enumerate(trace)))
     assert len(est.certificate) == size
     assert digest(est.certificate) == cert
+
+
+# sha256 of each file `rmlab verify -o DIR` writes with all nine probes at their defaults
+VERIFY_FILES = {
+    "classify-sweep.csv": "f5a7e86fe5dde1c1fe67a5e435edef7ce3b76f144bd111a8e645aa22288664c2",
+    "classify-sweep.json": "57c370a524a0c24bdf876f8e8c214705a54802a5c22d966eda53b4e26de4de57",
+    "embedding.json": "cd2a2cccc7b66b7a583748a377d5fe26acfad64536b6ed824082e9b5f4deb309",
+    "inequalities.json": "80b3ba7993288e866e1057beced15a3992cd5de7e97d788d8c84d09e9587026c",
+    "lem1e.csv": "620acd65867b04b6885fb4d600ef50a7b6d9f64e935fc5faad3ca22c0c07aeca",
+    "lem1e.json": "4aca97f5477c104eb495c6df95c2210e5b11b6106ef14a559d7a2f677b0ef962",
+    "oracle-equivalence.json": "63a6f8bb83b16ddf29df87493c5a9a219a94827d9b6666ad067856bf0c8a6a34",
+    "prop-q.csv": "5654b1ef2022b443a457c93cb4f3337bf1a1c27a5a302fc2e576bc1d7ae7d504",
+    "prop-q.json": "35c25049bca8aafe0aa549ad17d446d94e1893d28525f9132b6acf893d55ac79",
+    "prop-rn.csv": "d6e07aa32d57dbc2859750137e6ba967d257acd40314308467f8f2dd5ea9a0f8",
+    "prop-rn.json": "50c7748fa219198c340b0a44722881f47a2f9ca08e9b21d0e99fc83d0f0ba5f0",
+    "q23-identity.json": "2b9c4c8f9af07835a0729379f7808e99dc6450981c10668555cd0c44c8b7a6a0",
+    "riesz-identity.csv": "adda872eecf9295bc81fee6a0e05c1192b7274efa07130a527e031271138e73f",
+    "riesz-identity.json": "53a5daa973a8225b5c0a13641d31f07e7c30cdd2c74386bc62b72926c7b4cf5b",
+    "summary.json": "dabe40b5d9c050f80d6d1b792591778529a24184c56a0d4de16cc368dda9decf",
+}
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    assert main(["verify", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(tmp_path).iterdir())}
+    assert got == VERIFY_FILES

@@ -247,6 +247,33 @@ class TestScoreOverflow:
             cube = Cube((0.0,) * 3, 1e-110)
             rm_norm_dyadic(StepFunction(((cube, 1.0),)), cube, 4, RIESZ2)
 
+    def test_subnormal_cells_are_refused(self):
+        # 5e-324 ** -1.2 overflows a double: the scores would be inf or nan, not tiny and finite
+        tiny = Cube((0.0,), 1e-323)
+        with pytest.raises(ValueError, match="power -1.2 overflows a double"):
+            rm_norm_dyadic(StepFunction(((tiny, 1.0),)), tiny, 1, ParamSpace(2.0, 1.0, 0.1))
+        small = Cube((0.0,), 1e-320)
+        with pytest.raises(ValueError, match="power -1.2 overflows a double"):
+            rm_norm_intervals_1d(StepFunction(((small, 1.0),)), small, 4, ParamSpace(2.0, 1.0, 0.1))
+        # with a positive exponent the same cells score 0 and are kept
+        est = rm_norm_dyadic(StepFunction(((tiny, 1.0),)), tiny, 1, ParamSpace(2.0, 4.0, 0.0))
+        assert 0.0 < est.value < 1e-160
+
+    def test_root_whose_power_overflows_is_refused(self):
+        # e = 2.5: (1e125 / 2**18) ** 2.5 is about 9e298, but the root's 1e125 ** 2.5 overflows
+        big = Cube((0.0,), 1e125)
+        f = StepFunction(((big, 1e-100),))
+        with pytest.raises(ValueError, match="power 2.5 overflows a double"):
+            rm_norm_dyadic(f, big, 18, ParamSpace(2.0, 4.0, -1.0))
+        with pytest.raises(ValueError, match="power 2.5 overflows a double"):
+            rm_norm_intervals_1d(f, big, 4096, ParamSpace(2.0, 4.0, -1.0))
+
+    def test_interval_cells_below_the_ulp_are_refused(self):
+        # the grid edges of [1, 1 + 1e-17] all round to 1.0: the cells have width 0
+        cube = Cube((1.0,), 1e-17)
+        with pytest.raises(ValueError, match="volume 0"):
+            rm_norm_intervals_1d(StepFunction(((cube, 1.0),)), cube, 4, ParamSpace(2.0, 1.0, 0.1))
+
     def test_unbounded_sup_stays_infinite(self):
         # |x|**-1 is unbounded on the cell at the origin: an infinite score, not an overflow
         params = ParamSpace(2.0, math.inf, -0.3)
