@@ -15,22 +15,17 @@ from .funcrep import (
     ParamSpace,
     RadialPower,
     StepFunction,
-    evaluate,
     lebesgue_norm,
     lq_norm_on_cube,
     positive_orthant_sphere_measure,
-    shell_integral_radial,
     weak_norm,
 )
 from .geometry import (
     Cube,
-    CubeFamily,
     DimensionMismatchError,
     Domain,
-    box_distance,
     dyadic_children,
     interiors_pairwise_disjoint,
-    ring_subdivision,
     shell_partition_1d,
 )
 from .constructions import (
@@ -52,13 +47,11 @@ from .norms import (
     riesz_norm,
     rm_norm_dyadic,
     rm_norm_intervals_1d,
-    rm_norm_estimate,
     rm_score,
 )
 from .analysis import (
     Classification,
     GrowthReport,
-    check_holder_cube,
     check_power_sum_inequalities,
     classify,
     growth_probe,

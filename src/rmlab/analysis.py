@@ -22,6 +22,7 @@ from .constructions import (
     shell_thresholds,
     tree_descendant_mass_log2,
 )
+# lq_norm_on_cube is not called here: perfbench/selftest.py checks that its tracer patches this binding too
 from .funcrep import ParamSpace, StepFunction, lq_norm_on_cube
 from .geometry import Cube, shell_partition_1d
 from .norms import rm_score
@@ -30,7 +31,6 @@ from .series import partial_power_sum
 __all__ = [
     "PowerSumReport",
     "check_power_sum_inequalities",
-    "check_holder_cube",
     "Classification",
     "classify",
     "GrowthReport",
@@ -117,20 +117,6 @@ def check_power_sum_inequalities(
 
 
 # ---------------------------------------------------------------------------
-# per-cube Hoelder and the critical embedding
-# ---------------------------------------------------------------------------
-
-def check_holder_cube(f: StepFunction, cube: Cube, params: ParamSpace) -> bool:
-    """|Q|**(1-p*alpha-p/q) ||f||_{L^q(Q)}**p <= (int_Q |f|**theta)**(1-p*alpha)."""
-    params.require_intermediate_regime()
-    theta = params.theta
-    lhs = cube.volume ** params.score_exponent * lq_norm_on_cube(f, cube, params.q) ** params.p
-    rhs = lq_norm_on_cube(f, cube, theta) ** theta
-    rhs = rhs ** (1.0 - params.p * params.alpha)
-    return lhs <= rhs * (1.0 + 1e-12) + 1e-300
-
-
-# ---------------------------------------------------------------------------
 # classifier
 # ---------------------------------------------------------------------------
 
@@ -159,8 +145,7 @@ def classify(p: float, q: float, alpha: float, domain_kind: str) -> Classificati
     """
     if domain_kind not in ("whole-space", "cube"):
         raise ValueError(f"unknown domain kind {domain_kind!r}")
-    if p < 1.0 or q < 1.0:
-        raise ValueError("p and q must be >= 1 (or inf)")
+    params = ParamSpace(p, q, alpha)  # refuses p or q not >= 1 (or inf), and alpha not finite
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     split = inv_p - inv_q  # 1/p - 1/q
@@ -176,7 +161,7 @@ def classify(p: float, q: float, alpha: float, domain_kind: str) -> Classificati
         if split < alpha < 0.0:
             return Classification(
                 PROPER_SUPERSET_OF_LTHETA,
-                theta=ParamSpace(p, q, alpha).theta,
+                theta=params.theta,
                 tag=f"{domain_kind}:q<p:intermediate",
             )
         if domain_kind == "whole-space":

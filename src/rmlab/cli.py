@@ -24,7 +24,7 @@ from .analysis import classify
 from .constructions import build_tree, power_split, shell_thresholds, sparse_function, tree_function
 from .funcrep import FunctionLike, ParamSpace, RadialPower, StepFunction, json_dim
 from .geometry import Cube, Domain
-from .norms import rm_norm_estimate
+from .norms import morrey_norm_estimate, rm_norm_dyadic
 from .verification import PROBES
 
 __all__ = ["main"]
@@ -169,7 +169,10 @@ def _cmd_construct(args, parser) -> int:
     if name == "sparse":
         if args.L is None:
             parser.error("sparse construction needs --L")
-        f = sparse_function(args.L, args.n)
+        try:
+            f = sparse_function(args.L, args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
         function_doc = f.to_json_dict()
         meta["pieces"] = len(f)
         meta["volumes_head"] = [1.0 / l for l in range(1, min(args.L, 16) + 1)]
@@ -287,9 +290,12 @@ def _cmd_norm(args, parser) -> int:
     try:
         if args.root is not None:
             root = Cube(tuple(float(v) for v in args.root.split(",")), args.side)
-        offsets = None if args.offsets is None else tuple(float(v) for v in args.offsets.split(","))
-        domain = Domain.whole_space(n) if args.domain in (None, "rn") else Domain.of_cube(root)
-        est = rm_norm_estimate(f, params, root, depth, offsets=offsets, domain=domain)
+        if math.isinf(params.p):
+            domain = Domain.whole_space(n) if args.domain in (None, "rn") else Domain.of_cube(root)
+            est = morrey_norm_estimate(f, domain, params.q, params.alpha, dyadic_depth=min(depth, 8), root=root)
+        else:
+            offsets = None if args.offsets is None else tuple(float(v) for v in args.offsets.split(","))
+            est = rm_norm_dyadic(f, root, depth, params, offsets=offsets)
     except ValueError as exc:
         parser.error(str(exc))
     doc = est.as_dict()
@@ -305,14 +311,9 @@ def _cmd_norm(args, parser) -> int:
 
 
 def _cmd_classify(args, parser) -> int:
-    for name in ("p", "q", "alpha"):
-        if getattr(args, name) is None:
-            parser.error(f"missing required flag --{name}")
+    params = _params_or_exit(args, parser)
     kind = "whole-space" if args.domain in (None, "rn") else "cube"
-    try:
-        res = classify(args.p, args.q, args.alpha, kind)
-    except ValueError as exc:
-        parser.error(str(exc))
+    res = classify(params.p, params.q, params.alpha, kind)
     doc = {"verdict": res.verdict, "theta": res.theta, "tag": res.tag, "config": _resolved_config(args)}
     _write_output(canonical_json(doc), args.output)
     return 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .funcrep import (
     ParamSpace,
@@ -26,7 +27,7 @@ from .funcrep import (
     StepFunction,
     positive_orthant_sphere_measure,
 )
-from .geometry import Cube, CubeFamily, _checked_cubes
+from .geometry import Cube, _checked_cubes
 from .series import power_series_sum, power_series_tail
 
 __all__ = [
@@ -50,19 +51,18 @@ __all__ = [
 # sparse family on the whole space
 # ---------------------------------------------------------------------------
 
-def sparse_family(count: int, dim: int = 1) -> CubeFamily:
+def sparse_family(count: int, dim: int = 1) -> tuple[Cube, ...]:
     """Cubes [2**l, 2**l + l**(-1/n)]**n for l = 1..count.
 
     Volume of the l-th cube is exactly 1/l; consecutive cubes are separated
-    by gaps 2**(l+1) - 2**l - l**(-1/n) > 0, growing exponentially.
+    by gaps 2**(l+1) - 2**l - l**(-1/n) > 0, growing exponentially.  The
+    count stops at 1023, the last l whose corner 2**l is a finite double.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    cubes = []
-    for l in range(1, count + 1):
-        lo = 2.0 ** l
-        cubes.append(Cube((lo,) * dim, l ** (-1.0 / dim)))
-    return CubeFamily(tuple(cubes))
+    if not 1 <= count <= 1023:
+        raise ValueError(f"count must be in 1..1023, got {count}")
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    return tuple(Cube((2.0 ** l,) * dim, l ** (-1.0 / dim)) for l in range(1, count + 1))
 
 
 def sparse_function(count: int, dim: int = 1) -> StepFunction:
@@ -180,7 +180,7 @@ class TreeConstruction:
     params: ParamSpace
     spacing: TreeSpacing
     domain_side: float
-    levels: tuple[CubeFamily, ...]
+    levels: tuple[tuple[Cube, ...], ...]
 
     @property
     def cutoff(self) -> int:
@@ -209,11 +209,8 @@ class TreeConstruction:
     def gaps(self) -> tuple[float, ...]:
         return tuple(self.spacing.gap(i) for i in range(self.depth + 1))
 
-    def all_cubes(self) -> CubeFamily:
-        cubes: list[Cube] = []
-        for fam in self.levels:
-            cubes.extend(fam.cubes)
-        return CubeFamily(tuple(cubes))
+    def all_cubes(self) -> tuple[Cube, ...]:
+        return tuple(chain.from_iterable(self.levels))
 
 
 def build_tree(dim: int, depth: int, params: ParamSpace) -> TreeConstruction:
@@ -232,13 +229,13 @@ def build_tree(dim: int, depth: int, params: ParamSpace) -> TreeConstruction:
     spacing = TreeSpacing.build(dim)
     l0 = spacing.length(0)
     centers = [0.0]
-    levels = [CubeFamily((Cube((-0.5 * l0,) * dim, l0),))]
+    levels = [(Cube((-0.5 * l0,) * dim, l0),)]
     for i in range(1, depth + 1):
         li = spacing.length(i)
         offset = 0.5 * spacing.length(i - 1) + spacing.distance(i - 1) + 0.5 * li
         centers = [c + s * offset for c in centers for s in (-1.0, 1.0)]
         half = 0.5 * li
-        levels.append(CubeFamily(_checked_cubes([(m - half,) * dim for m in centers], [li] * len(centers))))
+        levels.append(_checked_cubes([(m - half,) * dim for m in centers], [li] * len(centers)))
     domain_side = l0 + 2.0 * spacing.radius(0) + 1.0
     return TreeConstruction(
         dim=dim,
@@ -356,7 +353,8 @@ class ShellConstruction:
     For the full-cube set E = [-1, 1] the k-th shell
     [-t_{k-1}, -t_k] union [t_k, t_{k-1}] receives mass
     (|E|/2) * k**e / Z where e = 1/(p*alpha - 1) < -1 and Z is the full
-    series sum of l**e.
+    series sum of l**e.  That holds for every k >= 2; t_0 is pinned at 1,
+    so shell 1 also carries the outer half of E.
     """
 
     p: float
@@ -368,32 +366,11 @@ class ShellConstruction:
     def exponent(self) -> float:
         return 1.0 / (self.p * self.alpha - 1.0)
 
-    @property
-    def set_measure(self) -> float:
-        return 2.0
-
     def threshold(self, k: int) -> float:
         """t_k with the convention t_0 = 1."""
         if k == 0:
             return 1.0
         return self.thresholds[k - 1]
-
-    def shell_mass(self, k: int) -> float:
-        """Measure of E inside the k-th shell (1-indexed)."""
-        return 2.0 * (self.threshold(k - 1) - self.threshold(k))
-
-    def power_law_shell_mass(self, k: int) -> float:
-        """Target mass law (|E|/2) * k**e / Z; exact for every k >= 2.
-
-        The outermost threshold is pinned at 1 while the law would place it
-        where only half of E lies inside, so shell 1 additionally carries
-        the outer half of E: mass_1 = |E|/2 + power_law_shell_mass(1).
-        """
-        return (self.set_measure / 2.0) * k ** self.exponent / self.normalizer
-
-    @property
-    def first_shell_extra(self) -> float:
-        return self.set_measure / 2.0
 
 
 def shell_thresholds(p: float, alpha: float, count: int) -> ShellConstruction:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,10 +36,6 @@ class NormEstimate:
         if not self.value >= 0.0:
             raise ValueError(f"estimate value must be >= 0, got {self.value}")
         object.__setattr__(self, "trace", tuple((float(a), float(b)) for a, b in self.trace))
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
 
     def as_dict(self) -> dict:
         cert: Any

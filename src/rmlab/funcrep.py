@@ -8,12 +8,11 @@ a one-dimensional closed form).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,12 +24,10 @@ __all__ = [
     "StepFunction",
     "RadialPower",
     "ParamSpace",
-    "evaluate",
     "lq_norm_on_cube",
     "grid_cell_values",
     "lebesgue_norm",
     "weak_norm",
-    "shell_integral_radial",
     "positive_orthant_sphere_measure",
     "json_dim",
 ]
@@ -162,9 +159,6 @@ class StepFunction:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "StepFunction":
         dim = json_dim(data["dim"])
@@ -177,10 +171,6 @@ class StepFunction:
         f = cls(tuple(pieces))
         f.validate_disjoint_supports()
         return f
-
-    @classmethod
-    def from_json(cls, text: str) -> "StepFunction":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -202,25 +192,6 @@ class RadialPower:
 
 
 FunctionLike = Union[StepFunction, RadialPower]
-
-
-def evaluate(f: FunctionLike, x: Sequence[float]) -> float:
-    """Pointwise value; zero off the support."""
-    if isinstance(f, StepFunction):
-        if not f.pieces:
-            return 0.0
-        if len(x) != f.dim:
-            raise DimensionMismatchError("point dim mismatch")
-        return float(
-            sum(h for cube, h in f.pieces if cube.contains_point(x))
-        )
-    if isinstance(f, RadialPower):
-        if len(x) != f.dim:
-            raise DimensionMismatchError("point dim mismatch")
-        if any(xi <= 0.0 for xi in x):
-            return 0.0
-        return float(math.dist(x, (0.0,) * f.dim) ** f.exponent)
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
 def lq_norm_on_cube(f: FunctionLike, cube: Cube, q: float) -> float:
@@ -457,19 +428,3 @@ def positive_orthant_sphere_measure(n: int) -> float:
         raise ValueError("dimension must be >= 1")
     full = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     return full / 2.0 ** n
-
-
-def shell_integral_radial(s_q: float, r_in: float, r_out: float, n: int) -> float:
-    """Exact integral of |x|**s_q over the orthant annulus r_in < |x| < r_out.
-
-    Uses the polar factorization: orthant-sphere measure times the radial
-    antiderivative of r**(s_q + n - 1); the degenerate exponent
-    s_q + n == 0 switches to the logarithmic form.
-    """
-    if not 0.0 < r_in < r_out:
-        raise ValueError(f"need 0 < r_in < r_out, got {r_in}, {r_out}")
-    measure = positive_orthant_sphere_measure(n)
-    e = s_q + n
-    if e == 0.0:
-        return measure * math.log(r_out / r_in)
-    return measure * (r_out ** e - r_in ** e) / e

@@ -1,7 +1,8 @@
 """Axis-aligned cube geometry.
 
-Cubes are closed boxes with all sides equal; families compare open
-interiors, so cubes that share a face do not count as overlapping.
+Cubes are closed boxes with all sides equal.  A family of cubes is a
+plain tuple of them; families compare open interiors, so cubes that
+share a face do not count as overlapping.
 Everything here is immutable and pure.
 """
 
@@ -10,18 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, product, repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Cube",
-    "CubeFamily",
     "Domain",
     "DimensionMismatchError",
-    "box_distance",
     "dyadic_children",
-    "ring_subdivision",
     "shell_partition_1d",
     "interiors_pairwise_disjoint",
 ]
@@ -59,18 +57,8 @@ class Cube:
         return tuple(c + self.side for c in self.lower)
 
     @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(c + 0.5 * self.side for c in self.lower)
-
-    @property
     def volume(self) -> float:
         return self.side ** self.dim
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        """Membership in the closed cube."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError(f"point dim {len(x)} != cube dim {self.dim}")
-        return all(lo <= xi <= lo + self.side for lo, xi in zip(self.lower, x))
 
     def contains_cube(self, other: "Cube") -> bool:
         _require_same_dim(self, other)
@@ -78,11 +66,6 @@ class Cube:
             sl <= ol and ol + other.side <= sl + self.side
             for sl, ol in zip(self.lower, other.lower)
         )
-
-    def translate(self, shift: Sequence[float]) -> "Cube":
-        if len(shift) != self.dim:
-            raise DimensionMismatchError("shift dim mismatch")
-        return Cube(tuple(c + s for c, s in zip(self.lower, shift)), self.side)
 
 
 def _checked_cubes(lows: np.ndarray | list[tuple[float, ...]], sides: np.ndarray | list[float]) -> tuple[Cube, ...]:
@@ -112,41 +95,6 @@ def _checked_cubes(lows: np.ndarray | list[tuple[float, ...]], sides: np.ndarray
 def _require_same_dim(a: Cube, b: Cube) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"cube dims differ: {a.dim} vs {b.dim}")
-
-
-@dataclass(frozen=True)
-class CubeFamily:
-    """Ordered collection of same-dimension cubes.
-
-    The disjoint-interior invariant is checked by
-    :func:`interiors_pairwise_disjoint` (and enforced by norm scoring),
-    not at construction time, so that large families stay cheap to build.
-    """
-
-    cubes: tuple[Cube, ...]
-
-    def __post_init__(self) -> None:
-        cubes = tuple(self.cubes)
-        object.__setattr__(self, "cubes", cubes)
-        if cubes:
-            d = cubes[0].dim
-            if any(c.dim != d for c in cubes):
-                raise DimensionMismatchError("family mixes cube dimensions")
-
-    @property
-    def dim(self) -> int:
-        if not self.cubes:
-            raise ValueError("empty family has no dimension")
-        return self.cubes[0].dim
-
-    def __len__(self) -> int:
-        return len(self.cubes)
-
-    def __iter__(self) -> Iterator[Cube]:
-        return iter(self.cubes)
-
-    def __getitem__(self, i: int) -> Cube:
-        return self.cubes[i]
 
 
 @dataclass(frozen=True)
@@ -190,16 +138,6 @@ _FACE_SLACK = 8.0 * np.finfo(float).eps
 _SWEEP_BATCH = 1 << 16
 
 
-def box_distance(a: Cube, b: Cube) -> float:
-    """Euclidean distance between the closed boxes (0 iff closures meet)."""
-    _require_same_dim(a, b)
-    acc = 0.0
-    for lo_a, lo_b in zip(a.lower, b.lower):
-        gap = max(0.0, lo_a - (lo_b + b.side), lo_b - (lo_a + a.side))
-        acc += gap * gap
-    return math.sqrt(acc)
-
-
 def _overlap_widths(lo_a, side_a, lo_b, side_b) -> np.ndarray:
     """Widths of [lo_a, lo_a+side_a] meet [lo_b, lo_b+side_b], elementwise, floored at 0.
 
@@ -213,35 +151,16 @@ def _overlap_widths(lo_a, side_a, lo_b, side_b) -> np.ndarray:
     return np.maximum(np.minimum(np.minimum(side_a, side_b), np.minimum(d + side_b, side_a - d)), 0.0)
 
 
-def dyadic_children(c: Cube) -> CubeFamily:
+def dyadic_children(c: Cube) -> tuple[Cube, ...]:
     """The 2**dim half-side subcubes tiling c."""
     half = 0.5 * c.side
     kids = []
     for bits in product((0, 1), repeat=c.dim):
         kids.append(Cube(tuple(lo + half * b for lo, b in zip(c.lower, bits)), half))
-    return CubeFamily(tuple(kids))
+    return tuple(kids)
 
 
-def ring_subdivision(i: int, N: int, n: int) -> CubeFamily:
-    """Tile the grid ring (0, N**(i+1)]^n minus (0, N**i]^n with N**n - 1 cubes.
-
-    The outer block is cut into the N**n grid cells of side N**i and the
-    cell at the origin corner (which is exactly the inner block) is dropped.
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if N < 2 or N * N <= n:
-        raise ValueError(f"grid base must satisfy N >= 2 and N > sqrt(n), got N={N}, n={n}")
-    side = float(N) ** i
-    cells = []
-    for k in product(range(N), repeat=n):
-        if all(kj == 0 for kj in k):
-            continue
-        cells.append(Cube(tuple(kj * side for kj in k), side))
-    return CubeFamily(tuple(cells))
-
-
-def shell_partition_1d(t_outer: float, t_inner: float, parts_per_side: int) -> CubeFamily:
+def shell_partition_1d(t_outer: float, t_inner: float, parts_per_side: int) -> tuple[Cube, ...]:
     """Split [-t_outer, -t_inner] and [t_inner, t_outer] into equal intervals.
 
     One-dimensional helper for shell families around [-1, 1]; each of the
@@ -257,10 +176,10 @@ def shell_partition_1d(t_outer: float, t_inner: float, parts_per_side: int) -> C
         cells.append(Cube((-t_outer + j * w,), w))
     for j in range(parts_per_side):
         cells.append(Cube((t_inner + j * w,), w))
-    return CubeFamily(tuple(cells))
+    return tuple(cells)
 
 
-def interiors_pairwise_disjoint(cubes: Sequence[Cube] | CubeFamily) -> bool:
+def interiors_pairwise_disjoint(cubes: Sequence[Cube]) -> bool:
     """Open-box disjointness of every pair, by sort and sweep on axis 0.
 
     Once the cubes are sorted by lower[0], a cube can only overlap the

@@ -30,14 +30,12 @@ from .funcrep import (
     grid_cell_values,
     lq_norm_on_cube,
 )
-from .geometry import (Cube, CubeFamily, Domain, _checked_cubes, _overlap_widths, dyadic_children,
-                       interiors_pairwise_disjoint)
+from .geometry import Cube, Domain, _checked_cubes, _overlap_widths, dyadic_children, interiors_pairwise_disjoint
 
 __all__ = [
     "rm_score",
     "rm_norm_dyadic",
     "rm_norm_intervals_1d",
-    "rm_norm_estimate",
     "riesz_norm",
     "morrey_norm_estimate",
     "DEFAULT_OFFSETS",
@@ -54,28 +52,18 @@ MAX_DP_CELLS = 1 << 24
 MAX_INTERVAL_CELLS = 1 << 14
 
 
-def rm_score(
-    f: FunctionLike,
-    family: CubeFamily | Sequence[Cube],
-    params: ParamSpace,
-    domain: Domain | None = None,
-    check: bool = True,
-) -> float:
+def rm_score(f: FunctionLike, family: Sequence[Cube], params: ParamSpace, check: bool = True) -> float:
     """Exact family score sum_i |Q_i|**(1-p*alpha-p/q) * ||f||_{L^q(Q_i)}**p.
 
     Zero-mass cubes contribute zero regardless of the volume exponent.
-    Raises if the family has overlapping interiors or leaves the domain,
-    or if the score overflows a double.
+    Raises if the family has overlapping interiors, or if the score
+    overflows a double.
     """
     if math.isinf(params.p):
         raise ValueError("family scores need finite p; use the single-cube norm for p = inf")
     cubes = tuple(family)
     if check and not interiors_pairwise_disjoint(cubes):
         raise ValueError("family interiors overlap")
-    if domain is not None:
-        for c in cubes:
-            if not domain.contains_cube(c):
-                raise ValueError(f"cube {c} is not inside the domain")
     e = params.score_exponent
     total = 0.0
     try:
@@ -298,7 +286,7 @@ class _Levels:
             self.keep[d][refined] = score[refined] >= split[-1]
         return best
 
-    def family(self, origin: tuple[float, ...], grid: int) -> CubeFamily:
+    def family(self, origin: tuple[float, ...], grid: int) -> tuple[Cube, ...]:
         """The achieving family of one grid, read top-down from the keep arrays.
 
         Cells of zero score are left out.  The order is depth-first with
@@ -334,7 +322,7 @@ class _Levels:
                 stack.extend([(d + 1, key | bits, (rank << n) | c) for c, bits in children])
         w = np.array(sides)
         index = (np.array(keys, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1) * depth) & ((1 << depth) - 1)
-        return CubeFamily(_checked_cubes(np.array(origin) + w[:, None] * index, w))
+        return _checked_cubes(np.array(origin) + w[:, None] * index, w)
 
 
 def rm_norm_dyadic(
@@ -390,7 +378,7 @@ def rm_norm_dyadic(
     per_pass = max(1, _PASS_CELLS >> (n * top))
     best_by_depth = [0.0] * (depth + 1)
     best_value = -1.0
-    best_family: CubeFamily = CubeFamily(())
+    best_family: tuple[Cube, ...] = ()
     with np.errstate(over="ignore"):  # an overflow shows as an infinite score, refused below
         for first in range(0, len(origins), per_pass):
             batch = origins[first:first + per_pass]
@@ -459,12 +447,11 @@ def rm_norm_intervals_1d(f: FunctionLike, root: Cube, grid_cells: int, params: P
             pieces.append(Cube((float(edges[i]),), float(edges[j] - edges[i])))
         j = i
     value = float(best[m]) ** (1.0 / params.p)
-    family = CubeFamily(tuple(reversed(pieces)))
-    return NormEstimate(value, LOWER_BOUND, certificate=family, trace=((float(m), value),))
+    return NormEstimate(value, LOWER_BOUND, certificate=tuple(reversed(pieces)), trace=((float(m), value),))
 
 
 # ---------------------------------------------------------------------------
-# specializations and dispatch
+# specializations
 # ---------------------------------------------------------------------------
 
 def riesz_norm(f: FunctionLike, root: Cube, p: float, depth: int) -> NormEstimate:
@@ -497,6 +484,8 @@ def morrey_norm_estimate(
         raise ValueError("Morrey estimate needs q < inf")
     if not -1.0 / q <= alpha <= 0.0:
         raise ValueError(f"alpha must lie in [-1/q, 0], got {alpha}")
+    if dyadic_depth < 0:
+        raise ValueError("dyadic_depth must be >= 0")
     candidates: list[Cube] = []
     supports: list[Cube] = []
     if isinstance(f, StepFunction) and len(f) > 0:
@@ -545,20 +534,5 @@ def morrey_norm_estimate(
         if val > best:
             best = val
             best_cube = c
-    cert = CubeFamily((best_cube,) if best_cube is not None else ())
+    cert = (best_cube,) if best_cube is not None else ()
     return NormEstimate(best, LOWER_BOUND, certificate=cert, trace=((float(len(candidates)), best),))
-
-
-def rm_norm_estimate(
-    f: FunctionLike,
-    params: ParamSpace,
-    root: Cube,
-    depth: int,
-    offsets: Sequence[float] | None = None,
-    domain: Domain | None = None,
-) -> NormEstimate:
-    """Partition-norm lower bound; p = inf routes to the single-cube branch."""
-    if math.isinf(params.p):
-        dom = domain if domain is not None else Domain.of_cube(root)
-        return morrey_norm_estimate(f, dom, params.q, params.alpha, dyadic_depth=min(depth, 8), root=root)
-    return rm_norm_dyadic(f, root, depth, params, offsets=offsets)

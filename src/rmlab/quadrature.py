@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["power_integral_on_box", "power_integrals"]
+__all__ = ["power_integrals"]
 
 _GL_ORDER = 8
 _KAPPA_FLOOR = 2.0 ** -10
@@ -169,13 +169,3 @@ def power_integrals(t: float, lower: np.ndarray, upper: np.ndarray) -> np.ndarra
         np.concatenate([lo[regular], ring_lo]), np.concatenate([hi[regular], ring_hi]), kappa / math.sqrt(n)
     )
     return out + scale * np.bincount(owner[row], weights=_gl_boxes(t, glo, ghi), minlength=m)
-
-
-def power_integral_on_box(t: float, lower: tuple[float, ...], side: float | tuple[float, ...]) -> float:
-    """Integral of |x|**t over (box intersect (0, inf)**n): power_integrals on one box.
-
-    `side` may be a scalar (cube) or per-axis widths.
-    """
-    lo = np.array(lower, dtype=float)
-    widths = np.full(lo.size, float(side)) if np.isscalar(side) else np.array(side, dtype=float)
-    return float(power_integrals(t, lo[None, :], (lo + widths)[None, :])[0])

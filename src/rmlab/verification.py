@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .constructions import build_tree, sparse_function, tree_function
 from .funcrep import ParamSpace, StepFunction, lebesgue_norm, weak_norm
-from .geometry import Cube, CubeFamily, Domain, _checked_cubes, interiors_pairwise_disjoint
+from .geometry import Cube, Domain, _checked_cubes, interiors_pairwise_disjoint
 from .norms import riesz_norm, rm_norm_dyadic, rm_norm_intervals_1d, rm_score
 from .series import harmonic_number
 
@@ -110,7 +110,7 @@ def random_step_function(rng: np.random.Generator, dim: int) -> StepFunction:
     return StepFunction(tuple(zip(_checked_cubes(lows, sides), heights)))
 
 
-def random_dyadic_partition(rng: np.random.Generator, root: Cube, max_depth: int = 4) -> CubeFamily:
+def random_dyadic_partition(rng: np.random.Generator, root: Cube, max_depth: int = 4) -> tuple[Cube, ...]:
     """Random recursive dyadic partition of the root cube: each cube less
     than max_depth levels down splits with chance 0.55, into the cubes of
     dyadic_children in their order."""
@@ -125,7 +125,7 @@ def random_dyadic_partition(rng: np.random.Generator, root: Cube, max_depth: int
         else:
             lows.append(lower)
             sides.append(side)
-    return CubeFamily(_checked_cubes(lows, sides))
+    return _checked_cubes(lows, sides)
 
 
 def random_intermediate_params(rng: np.random.Generator) -> ParamSpace:
@@ -280,6 +280,10 @@ def verify_sparse_function() -> ProbeResult:
 
 def verify_tree_function(depth: int = 12) -> ProbeResult:
     """Diagonal tree of the given depth on a cube: geometry, level masses, score stabilization."""
+    # the growth fit needs depth + 1 >= 4 levels; the tree's 2**(depth + 1) - 1 cubes are all
+    # built and compared, so time and memory double per level (depth 18: seconds, hundreds of MB)
+    if not 3 <= depth <= 18:
+        raise ValueError(f"depth must be in 3..18, got {depth}")
     dim, p, q, alpha = 1, 2.0, 1.0, -0.25
     params = ParamSpace(p, q, alpha)
     tree = build_tree(dim, depth, params)

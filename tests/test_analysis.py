@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rmlab.analysis import (
     PowerSumReport,
-    check_holder_cube,
     check_power_sum_inequalities,
     classify,
     growth_probe,
@@ -19,11 +18,12 @@ from rmlab.analysis import (
     tree_single_overlap_bound,
 )
 from rmlab.constructions import build_tree, sparse_family, sparse_function
-from rmlab.funcrep import ParamSpace, StepFunction
+from rmlab.funcrep import ParamSpace, StepFunction, lq_norm_on_cube
 from rmlab.geometry import Cube
 from rmlab.norms import rm_norm_dyadic, rm_score
 from rmlab.series import harmonic_number
 from rmlab.verification import random_dyadic_step, random_intermediate_params
+from reference import center
 
 INTERMEDIATE = ParamSpace(2.0, 1.0, -0.25)
 UNIT = Cube((0.0,), 1.0)
@@ -112,6 +112,14 @@ class TestPowerSums:
         assert check_power_sum_inequalities(np.array(seq), gamma, head, rel_tol=0.0) == expected
 
 
+def check_holder_cube(f, cube, params):
+    """|Q|**(1-p*alpha-p/q) ||f||_{L^q(Q)}**p <= (int_Q |f|**theta)**(1-p*alpha), on lq_norm_on_cube."""
+    theta = params.theta
+    lhs = cube.volume ** params.score_exponent * lq_norm_on_cube(f, cube, params.q) ** params.p
+    rhs = (lq_norm_on_cube(f, cube, theta) ** theta) ** (1.0 - params.p * params.alpha)
+    return lhs <= rhs * (1.0 + 1e-12) + 1e-300
+
+
 class TestHolderAndEmbedding:
     def test_constant_attains_equality(self):
         f = StepFunction(((UNIT, 2.0),))
@@ -185,6 +193,15 @@ class TestClassify:
                             "ProperSupersetOfLtheta",
                             "EqualsMorrey",
                         }
+
+    @pytest.mark.parametrize("p,q,alpha", [
+        (2.0, 1.0, math.nan), (math.nan, 1.0, 0.0), (2.0, math.nan, 0.0), (2.0, 1.0, math.inf), (2.0, 1.0, -math.inf),
+    ], ids=["alpha-nan", "p-nan", "q-nan", "alpha-inf", "alpha-minus-inf"])
+    def test_refuses_what_the_parameter_space_refuses(self, p, q, alpha):
+        with pytest.raises(ValueError):
+            ParamSpace(p, q, alpha)
+        with pytest.raises(ValueError):
+            classify(p, q, alpha, "whole-space")
 
 
 class TestGrowthProbe:
@@ -309,8 +326,8 @@ class TestAnalyticBounds:
             cover = []
             half_span = 0.5 * tree.spacing.length(level) + tree.spacing.reach(level)
             for cube in tree.levels[level]:
-                center = cube.center[0]
-                cover.append(Cube((center - half_span,), 2 * half_span))
+                mid = center(cube)[0]
+                cover.append(Cube((mid - half_span,), 2 * half_span))
             score = rm_score(f, cover, params, check=False)
             assert score <= total_bound
 

@@ -58,6 +58,18 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "EqualsMorrey"
 
+    @pytest.mark.parametrize("flags", [
+        ["--p", "2", "--q", "1", "--alpha", "nan"],
+        ["--p", "nan", "--q", "1", "--alpha", "0"],
+        ["--p", "2", "--q", "nan", "--alpha", "0"],
+        ["--p", "2", "--q", "1", "--alpha", "inf"],
+    ], ids=["alpha-nan", "p-nan", "q-nan", "alpha-inf"])
+    def test_non_finite_or_nan_parameter_exits_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestConstructCommand:
     def test_tree_piece_count(self, tmp_path, capsys):
@@ -144,6 +156,17 @@ class TestConstructCommand:
             main(argv)
         assert exc.value.code == 2
         assert "not applied by the" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--L", "0"], ["--L", "1024"], ["--L", "3", "--n", "0"], ["--L", "3", "--n", "-1"],
+    ], ids=["L-0", "L-1024", "n-0", "n-minus-1"])
+    def test_sparse_out_of_range_exits_2(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "sparse", *flags, "-o", str(tmp_path / "f.json")])
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
 
@@ -296,6 +319,14 @@ class TestNormCommand:
         assert code == 0
         assert abs(json.loads(out)["value"] - 1.0) < 1e-12
 
+    def test_infinite_p_negative_depth_exits_2(self, tmp_path, capsys):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--function", str(fn), "--p", "inf", "--q", "1", "--alpha", "-0.5", "--depth", "-3"])
+        assert exc.value.code == 2
+        assert "dyadic_depth must be >= 0" in capsys.readouterr().err
+
     def test_infinite_p_writes_strict_json(self, tmp_path, capsys):
         fn = tmp_path / "t.json"
         fn.write_text(json.dumps({"dim": 1, "pieces": [{"lower": [0.0], "side": 1.0, "height": 1.0}]}))
@@ -445,15 +476,28 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flags", [
         ["prop-q", "--depth", "2"],
+        ["prop-q", "--depth", "0"],
+        ["prop-q", "--depth", "19"],
         ["lem1e", "--K", "4"],
         ["q23-identity", "--grid", "0"],
         ["q23-identity", "--grid", "16385"],
         ["riesz-identity", "--seed", "-1"],
-    ], ids=["depth", "K", "grid-0", "grid-over-cap", "seed"])
+    ], ids=["depth", "depth-0", "depth-over-cap", "K", "grid-0", "grid-over-cap", "seed"])
     def test_out_of_range_flag_exits_2(self, flags):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *flags])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("depth", [0, 2, 19])
+    def test_prop_q_depth_is_checked_before_the_tree_is_built(self, monkeypatch, depth):
+        from rmlab import verification
+
+        def unreachable(*args):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(verification, "build_tree", unreachable)
+        with pytest.raises(ValueError, match="depth must be in 3..18"):
+            verification.verify_tree_function(depth)
 
     def test_probe_failure_exits_1(self, capsys, monkeypatch):
         import rmlab.cli as climod

@@ -14,16 +14,11 @@ from rmlab.constructions import (
     tree_function,
     tree_side_length,
 )
-from rmlab.funcrep import ParamSpace, RadialPower, lebesgue_norm, lq_norm_on_cube, shell_integral_radial
-from rmlab.geometry import (
-    Cube,
-    Domain,
-    box_distance,
-    interiors_pairwise_disjoint,
-    ring_subdivision,
-)
+from rmlab.funcrep import ParamSpace, RadialPower, lebesgue_norm, lq_norm_on_cube
+from rmlab.geometry import Cube, Domain, interiors_pairwise_disjoint
 from rmlab.norms import rm_score
 from rmlab.series import power_series_tail
+from reference import box_distance, center, ring_subdivision, shell_integral_radial
 
 INTERMEDIATE = ParamSpace(2.0, 1.0, -0.25)
 
@@ -59,6 +54,12 @@ class TestSparseFamily:
         for l in range(1, 10_001):
             # 2**(l+1) - 2**l = 2**l > l**(-1/n) always
             assert l * math.log(2.0) > -math.log(l) / dim or l >= 1
+
+    @pytest.mark.parametrize("count,dim", [(1024, 1), (3, 0)], ids=["count-1024", "dim-0"])
+    def test_out_of_range_rejected(self, count, dim):
+        # count 1023 is the last whose corner 2**count is a finite double
+        with pytest.raises(ValueError):
+            sparse_family(count, dim)
 
     def test_sparse_function_heights(self):
         f = sparse_function(5)
@@ -194,7 +195,7 @@ class TestBuildTree:
         tree = build_tree(2, 6, INTERMEDIATE)
         for fam in tree.levels:
             for cube in fam:
-                c = cube.center
+                c = center(cube)
                 assert abs(c[0] - c[1]) <= 1e-12 * max(1.0, abs(c[0]))
 
     def test_child_distance(self):
@@ -205,7 +206,7 @@ class TestBuildTree:
                 kids = [
                     c
                     for c in tree.levels[i]
-                    if abs(c.center[0] - parent.center[0])
+                    if abs(center(c)[0] - center(parent)[0])
                     < 2 * (tree.spacing.distance(i - 1) + tree.spacing.length(i - 1))
                 ]
                 target = math.sqrt(dim) * tree.spacing.distance(i - 1)
@@ -375,12 +376,13 @@ class TestShellThresholds:
         assert all(a > b for a, b in zip(ts, ts[1:]))
 
     def test_mass_law(self):
+        # shell k of E = [-1, 1] has measure 2 (t_(k-1) - t_k) = (|E|/2) k**e / Z for k >= 2,
+        # and shell 1 also carries the outer half |E|/2 of E
         sc = shell_thresholds(1.0, 0.25, 50)
-        for k in range(2, 51):
-            assert sc.shell_mass(k) == pytest.approx(sc.power_law_shell_mass(k), abs=1e-10)
-        assert sc.shell_mass(1) == pytest.approx(
-            sc.first_shell_extra + sc.power_law_shell_mass(1), abs=1e-10
-        )
+        for k in range(1, 51):
+            mass = 2.0 * (sc.threshold(k - 1) - sc.threshold(k))
+            law = k ** sc.exponent / sc.normalizer
+            assert mass == pytest.approx(law + (1.0 if k == 1 else 0.0), abs=1e-10)
 
     def test_divergent_normalizer_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import pytest
 
 from rmlab.constructions import TreeSpacing, build_tree
 from rmlab.funcrep import ParamSpace, StepFunction
-from rmlab.geometry import Cube, CubeFamily, dyadic_children
+from rmlab.geometry import Cube, dyadic_children
 from rmlab.verification import (
     random_dyadic_partition,
     random_dyadic_step,
@@ -79,7 +79,7 @@ def reference_dyadic_partition(rng, root, max_depth):
             stack.extend((kid, d + 1) for kid in dyadic_children(cube))
         else:
             cells.append(cube)
-    return CubeFamily(tuple(cells))
+    return tuple(cells)
 
 
 def reference_intermediate_params(rng):

@@ -1,14 +1,14 @@
-"""Every public name that nothing in rmlab uses is pinned here.
+"""Every public name, method and property that nothing in rmlab uses is pinned here.
 
-A module's `__all__` is its public API.  A public function that no code
-of the package calls is reached only by its own tests and by callers
-outside the package; each such name below is kept on purpose.  A name
-counts as used when some module of the package other than `__init__`
-loads it, by name or as an attribute; its definition, its `__all__`
-entry and its `__init__` re-export do not count.  `cli.main`, the console
-entry point, is left out.  The verification probes are used through the
-PROBES registry.  A new public name that nothing uses fails this test
-until it is listed here on purpose, or deleted.
+A module's `__all__` is its public API, and so are the public methods and
+properties of the classes it lists.  A name counts as used when some
+module of the package other than `__init__` loads it, by name or as an
+attribute; its definition, its `__all__` entry and its `__init__`
+re-export do not count.  `cli.main`, the console entry point, is left
+out.  The verification probes are used through the PROBES registry.
+Dunder methods, and the methods a dataclass generates, are not scanned.
+The pin is empty: a public name or method that nothing in the package
+uses fails this test until it is given a use, or deleted.
 """
 
 import ast
@@ -18,14 +18,7 @@ import rmlab
 
 ENTRY_POINTS = {"cli.main"}
 
-UNUSED_PUBLIC = {
-    "funcrep.evaluate",
-    "funcrep.shell_integral_radial",
-    "geometry.box_distance",
-    "geometry.ring_subdivision",
-    "analysis.check_holder_cube",
-    "quadrature.power_integral_on_box",
-}
+UNUSED_PUBLIC: set[str] = set()
 
 
 def _modules():
@@ -45,6 +38,15 @@ def _public(tree):
     return []
 
 
+def _public_members(tree, public):
+    """(class, member) of each public method and property of the module's public classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in public:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
 def _loaded(tree):
     """Every name the module loads, bare or as an attribute."""
     for node in ast.walk(tree):
@@ -58,6 +60,10 @@ def test_every_unused_public_name_is_pinned():
     modules = dict(_modules())
     used = {name for tree in modules.values() for name in _loaded(tree)}
     public = {f"{module}.{name}" for module, tree in modules.items() for name in _public(tree)}
-    unused = {dotted for dotted in public if dotted.split(".")[1] not in used}
+    members = {
+        f"{module}.{cls}.{member}"
+        for module, tree in modules.items()
+        for cls, member in _public_members(tree, set(_public(tree)))
+    }
+    unused = {dotted for dotted in public | members if dotted.rsplit(".", 1)[1] not in used}
     assert unused - ENTRY_POINTS == UNUSED_PUBLIC
-

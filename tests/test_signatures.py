@@ -25,8 +25,7 @@ DEFAULTED = {
     "geometry.Domain": ("cube",),
     "norms.morrey_norm_estimate": ("dyadic_depth", "root"),
     "norms.rm_norm_dyadic": ("offsets",),
-    "norms.rm_norm_estimate": ("offsets", "domain"),
-    "norms.rm_score": ("domain", "check"),
+    "norms.rm_score": ("check",),
     "series.power_series_tail": ("rel_scale",),
     "verification.ProbeResult": ("trace_rows",),
     "verification.random_dyadic_partition": ("max_depth",),
