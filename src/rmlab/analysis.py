@@ -9,7 +9,6 @@ sums (bounded, logarithmic, or linear, with a fitted rate).
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,7 +25,7 @@ from .constructions import (
 from .funcrep import ParamSpace, StepFunction, lq_norm_on_cube
 from .geometry import Cube, shell_partition_1d
 from .norms import rm_score
-from .series import partial_power_sum
+from .series import _checked_int, partial_power_sum
 
 __all__ = [
     "PowerSumReport",
@@ -80,13 +79,8 @@ def check_power_sum_inequalities(
         raise ValueError("sequence entries must be positive and finite")
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if isinstance(head_count, bool):
-        raise ValueError("head_count must be an integer, not a bool")
-    try:
-        n_head = len(a) if head_count is None else operator.index(head_count)
-    except TypeError:
-        raise ValueError(f"head_count must be an integer, got {head_count!r}") from None
-    if not 1 <= n_head <= len(a):
+    n_head = len(a) if head_count is None else _checked_int(head_count, "head_count", 1)
+    if n_head > len(a):
         raise ValueError("head_count out of range")
 
     def leq(lhs: float, rhs: float) -> bool:
@@ -279,8 +273,7 @@ def sparse_single_overlap_bound(count: int, params: ParamSpace) -> float:
     of the full series; valid for every truncation and every family.
     """
     params.require_intermediate_regime()
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _checked_int(count, "count", 1)
     e = params.p * params.alpha - 1.0
     partial = partial_power_sum(e, count)
     tail = count ** (e + 1.0) / (-e - 1.0)
@@ -430,5 +423,6 @@ def shell_divergence_probe(
 
 
 def _log_spaced(top: int) -> tuple[int, ...]:
-    pts = np.unique(np.round(np.logspace(math.log10(2), math.log10(top), 12)).astype(int))
-    return tuple(int(v) for v in pts if v >= 1)
+    # sorted(set(...)) rather than np.unique, which would load numpy.ma for good
+    pts = sorted(set(np.round(np.logspace(math.log10(2), math.log10(top), 12)).astype(int).tolist()))
+    return tuple(v for v in pts if v >= 1)

@@ -213,6 +213,11 @@ class TreeConstruction:
         return tuple(chain.from_iterable(self.levels))
 
 
+# the deepest 1-D tree: build_tree makes no tree with more cube coordinates,
+# n * (2**(depth + 1) - 1), than the 1-D tree of this depth
+_TREE_MAX_DEPTH = 18
+
+
 def build_tree(dim: int, depth: int, params: ParamSpace) -> TreeConstruction:
     """Build the diagonal descendant tree to the given depth.
 
@@ -221,11 +226,18 @@ def build_tree(dim: int, depth: int, params: ParamSpace) -> TreeConstruction:
     diagonal at per-axis offset l_{i-1}/2 + d_{i-1} + l_i/2, giving the
     children Euclidean distance sqrt(n) * d_{i-1} from the parent.  The
     ambient cube side is l_0 + 2 * radius(0) + 1, strictly larger than the
-    reach of the whole construction.
+    reach of the whole construction.  A tree may hold no more cube
+    coordinates than the 1-D tree of depth _TREE_MAX_DEPTH.
     """
     params.require_intermediate_regime()
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    most = 2 ** (_TREE_MAX_DEPTH + 1) - 1
+    if depth > _TREE_MAX_DEPTH or dim * (2 ** (depth + 1) - 1) > most:
+        raise ValueError(
+            f"a depth-{depth} tree in {dim}-D would hold {dim} * (2**{depth + 1} - 1) cube coordinates, "
+            f"more than the {most} of the 1-D depth-{_TREE_MAX_DEPTH} tree"
+        )
     spacing = TreeSpacing.build(dim)
     l0 = spacing.length(0)
     centers = [0.0]

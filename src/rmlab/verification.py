@@ -28,7 +28,7 @@ from .analysis import (
     tree_multi_overlap_bound,
     tree_single_overlap_bound,
 )
-from .constructions import build_tree, sparse_function, tree_function
+from .constructions import _TREE_MAX_DEPTH, build_tree, sparse_function, tree_function
 from .funcrep import ParamSpace, StepFunction, lebesgue_norm, weak_norm
 from .geometry import Cube, Domain, _checked_cubes, interiors_pairwise_disjoint
 from .norms import riesz_norm, rm_norm_dyadic, rm_norm_intervals_1d, rm_score
@@ -281,9 +281,10 @@ def verify_sparse_function() -> ProbeResult:
 def verify_tree_function(depth: int = 12) -> ProbeResult:
     """Diagonal tree of the given depth on a cube: geometry, level masses, score stabilization."""
     # the growth fit needs depth + 1 >= 4 levels; the tree's 2**(depth + 1) - 1 cubes are all
-    # built and compared, so time and memory double per level (depth 18: seconds, hundreds of MB)
-    if not 3 <= depth <= 18:
-        raise ValueError(f"depth must be in 3..18, got {depth}")
+    # built and compared, so time and memory double per level up to build_tree's cap
+    # (at the cap: seconds, hundreds of MB)
+    if not 3 <= depth <= _TREE_MAX_DEPTH:
+        raise ValueError(f"depth must be in 3..{_TREE_MAX_DEPTH}, got {depth}")
     dim, p, q, alpha = 1, 2.0, 1.0, -0.25
     params = ParamSpace(p, q, alpha)
     tree = build_tree(dim, depth, params)

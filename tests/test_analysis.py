@@ -6,8 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tracemalloc
+
 from rmlab.analysis import (
     PowerSumReport,
+    _log_spaced,
     check_power_sum_inequalities,
     classify,
     growth_probe,
@@ -22,7 +25,7 @@ from rmlab.funcrep import ParamSpace, StepFunction, lq_norm_on_cube
 from rmlab.geometry import Cube
 from rmlab.norms import rm_norm_dyadic, rm_score
 from rmlab.series import harmonic_number
-from rmlab.verification import random_dyadic_step, random_intermediate_params
+from rmlab.verification import PROBES, random_dyadic_step, random_intermediate_params
 from reference import center
 
 INTERMEDIATE = ParamSpace(2.0, 1.0, -0.25)
@@ -240,6 +243,18 @@ class TestAnalyticBounds:
         assert val == pytest.approx(float(zeta(1.5)), rel=1e-8)
         assert val >= float(zeta(1.5))
 
+    def test_prop_rn_working_memory(self):
+        # its sparse_single_overlap_bound(10**6, .) sums a million powers; a one-shot
+        # np.sum would hold two 8 MB arrays, about 15 MB traced for the whole probe
+        tracemalloc.start()
+        try:
+            passed = PROBES["prop-rn"]().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed
+        assert peak < 2 << 20
+
     def test_single_overlap_first_term(self):
         val = sparse_single_overlap_bound(1, INTERMEDIATE)
         tail = 1.0 / 0.5
@@ -342,6 +357,14 @@ class TestShellDivergenceProbe:
     def test_regime_guard(self):
         with pytest.raises(ValueError):
             shell_divergence_probe(50, 1, 2.0, 1.0, -0.25)
+
+    @pytest.mark.parametrize("top", [2, 3, 5, 8, 12, 13, 50, 199, 200, 1000, 4096, 10 ** 5])
+    def test_sample_points_are_those_of_np_unique(self, top):
+        pts = np.unique(np.round(np.logspace(math.log10(2), math.log10(top), 12)).astype(int))
+        want = tuple(int(v) for v in pts if v >= 1)
+        got = _log_spaced(top)
+        assert got == want
+        assert all(type(v) is int for v in got)
 
 
 class TestInterpolationIndex:

@@ -159,6 +159,21 @@ class TestConstructCommand:
         assert not (tmp_path / "f.json").exists()
 
 
+    @pytest.mark.parametrize("n, depth", [("1", "19"), ("2", "18"), ("3", "17"), ("1", "1000000000")])
+    def test_tree_past_the_size_cap_exits_2(self, tmp_path, capsys, monkeypatch, n, depth):
+        from rmlab.constructions import TreeSpacing
+
+        def unreachable(*args):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(TreeSpacing, "build", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "tree", "--n", n, "--depth", depth, "--p", "2", "--q", "1", "--alpha", "-0.25",
+                  "-o", str(tmp_path / "f.json")])
+        assert exc.value.code == 2
+        assert "cube coordinates" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
     @pytest.mark.parametrize("flags", [
         ["--L", "0"], ["--L", "1024"], ["--L", "3", "--n", "0"], ["--L", "3", "--n", "-1"],
     ], ids=["L-0", "L-1024", "n-0", "n-minus-1"])

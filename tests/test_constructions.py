@@ -260,6 +260,16 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree(1, 4, ParamSpace(2.0, 1.0, 0.1))
 
+    @pytest.mark.parametrize("dim, depth", [(1, 19), (2, 18), (3, 17), (4, 17), (1, 10 ** 9)])
+    def test_size_cap_is_checked_before_the_tree_is_built(self, monkeypatch, dim, depth):
+        # more cube coordinates than the 2**19 - 1 of the 1-D depth-18 tree
+        def unreachable(*args):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(TreeSpacing, "build", unreachable)
+        with pytest.raises(ValueError, match="cube coordinates"):
+            build_tree(dim, depth, INTERMEDIATE)
+
 
 class TestTreeFunction:
     def test_level_contributions_to_critical_power(self):

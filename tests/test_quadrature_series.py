@@ -1,12 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rmlab
+from rmlab.analysis import sparse_single_overlap_bound
 from rmlab.estimate import NormEstimate
-from rmlab.funcrep import RadialPower, grid_cell_values
+from rmlab.funcrep import ParamSpace, RadialPower, grid_cell_values
 from rmlab.quadrature import power_integrals
-from rmlab.series import harmonic_number, partial_power_sum, power_series_sum, power_series_tail
+from rmlab.series import _BLOCK, _power_sum, harmonic_number, partial_power_sum, power_series_sum, power_series_tail
 
 
 def one_box(t, lower, side):
@@ -188,6 +197,113 @@ class TestSeries:
     def test_harmonic_number(self):
         assert harmonic_number(1) == 1.0
         assert harmonic_number(1000) == pytest.approx(7.485470860550343, rel=1e-14)
+
+
+def one_shot(exponent, lo, n):
+    """The sum as one np.sum over the whole range, which _power_sum must reproduce bit for bit."""
+    return float(np.sum(np.arange(lo, lo + n, dtype=float) ** exponent))
+
+
+class TestBlockwisePowerSum:
+    # n under 8 and up to 128 take numpy's two leaf loops, 129 its first split;
+    # around _BLOCK the replayed split takes over from np.sum
+    counts = st.one_of(
+        st.integers(1, 7),
+        st.integers(8, 128),
+        st.sampled_from((129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 8)),
+        st.integers(129, 4 * _BLOCK),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exponent=st.one_of(st.sampled_from((-1.0, -1.5, -2.3, 0.5)), st.floats(-3.0, 1.0)),
+        n=counts,
+        tail=st.booleans(),
+    )
+    @example(exponent=-1.5, n=2 * _BLOCK + 8, tail=True)
+    @example(exponent=-1.0, n=_BLOCK + 1, tail=False)
+    def test_matches_one_np_sum(self, exponent, n, tail):
+        # power_series_tail sums j = m+1 .. 2m, so lo = n + 1 is the tail's range
+        lo = n + 1 if tail else 1
+        assert _power_sum(exponent, lo, n) == one_shot(exponent, lo, n)
+
+    @pytest.mark.parametrize("n", [0, 8, 40_000, 65_536, 100_001, 10 ** 6, 3 * 10 ** 6 + 7])
+    def test_matches_one_np_sum_at_large_counts(self, n):
+        for exponent in (-1.0, -1.05, -1.2, -1.5, -1.7, -2.3, 0.5):
+            for lo in (1, n + 1):
+                assert _power_sum(exponent, lo, n) == one_shot(exponent, lo, n)
+
+    def test_public_sums_are_the_one_shot_sums(self):
+        assert partial_power_sum(-1.5, 10 ** 6) == one_shot(-1.5, 1, 10 ** 6)
+        assert harmonic_number(100_001) == one_shot(-1.0, 1, 100_001)
+
+    def test_memory_does_not_grow_with_the_count(self):
+        tracemalloc.start()
+        try:
+            partial_power_sum(-1.5, 2 * 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one shot: about 32 MB
+
+
+class TestSeriesInputs:
+    def test_non_finite_inputs_are_refused(self):
+        # an unchecked NaN or -inf keeps power_series_tail doubling its range until memory
+        # runs out, so the calls run in a child whose address space is capped at 1 GB
+        code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from rmlab.series import harmonic_number, partial_power_sum, power_series_sum, power_series_tail
+nan, inf = float("nan"), float("inf")
+calls = [
+    lambda: power_series_sum(nan), lambda: power_series_sum(-inf),
+    lambda: power_series_tail(nan, 4), lambda: power_series_tail(-inf, 4),
+    lambda: power_series_tail(-2.0, 4, rel_scale=nan), lambda: power_series_tail(-2.0, 4, rel_scale=inf),
+    lambda: partial_power_sum(nan, 4), lambda: partial_power_sum(-inf, 4), lambda: partial_power_sum(inf, 4),
+]
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+        src = str(Path(rmlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ValueError"] * 9
+
+    @pytest.mark.parametrize("rel_scale", [0.0, -1.0])
+    def test_rel_scale_must_be_positive(self, rel_scale):
+        with pytest.raises(ValueError, match="rel_scale"):
+            power_series_tail(-2.0, 4, rel_scale=rel_scale)
+
+    @pytest.mark.parametrize("start", [0, -3])
+    def test_tail_start_below_one_is_refused(self, start):
+        # the sum over j > 0 is zeta(2), not the zeta(2) - 1 of a start clamped to 1
+        with pytest.raises(ValueError, match="start must be >= 1"):
+            power_series_tail(-2.0, start)
+
+    def test_tail_start_must_be_an_integer(self):
+        for start in (2.7, 2.0, True, "3"):
+            with pytest.raises(ValueError, match="start must be an integer"):
+                power_series_tail(-2.0, start)
+        assert power_series_tail(-2.0, np.int64(64)) == power_series_tail(-2.0, 64)
+
+    def test_count_must_be_an_integer(self):
+        params = ParamSpace(2.0, 1.0, -0.25)
+        for count in (2.5, 3.0, True, False, "3"):
+            calls = (
+                lambda: partial_power_sum(-1.5, count),
+                lambda: harmonic_number(count),
+                lambda: sparse_single_overlap_bound(count, params),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match="count must be an integer"):
+                    call()
+        assert partial_power_sum(-1.5, np.int64(3)) == partial_power_sum(-1.5, 3)
 
 
 class TestNormEstimate:
